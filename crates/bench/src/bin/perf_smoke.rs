@@ -1,10 +1,11 @@
 //! CI perf-smoke gate for the step-2/step-3 hot path.
 //!
-//! Runs the default pipeline (adaptive intersection, pair reuse, per-tile
-//! scheduling) on the webbase-like R-MAT matrix `BENCH_pipeline.json` was
-//! measured on, takes the best-of-N step2+step3 time, and fails (exit 1)
-//! when it regresses more than [`GATE_PCT`] over the committed baseline row
-//! (`matrix=webbase-like, scheduling=per-tile, pair_reuse=true`). A fresh
+//! Runs the default pipeline (adaptive intersection, one task per tile,
+//! step 3 repeating the step-2 intersection) on the webbase-like R-MAT
+//! matrix `BENCH_pipeline.json` was measured on, takes the best-of-N
+//! step2+step3 time, and fails (exit 1) when it regresses more than
+//! [`GATE_PCT`] over the committed baseline row
+//! (`matrix=webbase-like, method=tilespgemm`). A fresh
 //! machine-readable record is written to `target/perf_smoke.json` for CI to
 //! upload next to the committed baseline.
 //!
@@ -46,15 +47,11 @@ fn field(fragment: &str, key: &str) -> Option<f64> {
 }
 
 /// The committed baseline's gated row (`matrix=webbase-like,
-/// scheduling=per-tile, pair_reuse=true`). The `simd_ablation` records
-/// carry neither a `scheduling` nor a `pair_reuse` key, so they can never
-/// shadow this lookup.
+/// method=tilespgemm`). The `ctx_overhead` and `simd_ablation` records carry
+/// other `method` values, so they can never shadow this lookup.
 fn baseline_row(json: &str) -> Option<&str> {
-    json.lines().find(|line| {
-        line.contains("\"matrix\":\"webbase-like\"")
-            && line.contains("\"scheduling\":\"per-tile\"")
-            && line.contains("\"pair_reuse\":true")
-    })
+    json.lines()
+        .find(|line| line.contains("\"matrix\":\"webbase-like\",\"method\":\"tilespgemm\""))
 }
 
 fn main() -> ExitCode {
@@ -83,7 +80,7 @@ fn main() -> ExitCode {
 
     let baseline_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_pipeline.json");
     let json = std::fs::read_to_string(baseline_path).expect("read committed BENCH_pipeline.json");
-    let row = baseline_row(&json).expect("baseline row for webbase-like/per-tile/reuse");
+    let row = baseline_row(&json).expect("baseline row for webbase-like/tilespgemm");
     let baseline3 = field(row, "step3_ms").expect("baseline step3_ms");
     let baseline = field(row, "step2_ms").expect("baseline step2_ms") + baseline3;
 

@@ -5,10 +5,10 @@
 //! every implementation the workspace ships and compares each against it:
 //!
 //! * **Bitwise tier** — the tiled pipeline under every knob that must not
-//!   change a single bit of the output: scheduling × pair-reuse ×
-//!   intersection strategy × recorder. These variants reorder *scheduling*,
-//!   never the per-tile arithmetic, so their tiled outputs are compared for
-//!   exact equality against the default-config run.
+//!   change a single bit of the output: intersection strategy × recorder.
+//!   These variants change how matched pairs are found, never the per-tile
+//!   arithmetic, so their tiled outputs are compared for exact equality
+//!   against the default-config run.
 //! * **Value tier** — knobs and methods that legitimately reorder the float
 //!   summation (accumulator policy × `tnnz` threshold, and all five
 //!   baseline methods). Their products are compared against gold under the
@@ -24,7 +24,7 @@
 
 use tilespgemm_core::{
     multiply, multiply_csr, multiply_csr_with, multiply_masked, AccumulatorKind, Config,
-    IntersectionKind, Scheduling, SimdPolicy,
+    IntersectionKind, SimdPolicy,
 };
 use tsg_baselines::reference::reference_spgemm;
 use tsg_baselines::{run_method, MethodKind};
@@ -45,7 +45,7 @@ pub struct OracleReport {
 /// A failed oracle run: which variant diverged, and how.
 #[derive(Debug, Clone)]
 pub struct OracleFailure {
-    /// Human-readable variant label (e.g. `tile[sched=binned,reuse=off]`).
+    /// Human-readable variant label (e.g. `tile[isect=Merge]`).
     pub variant: String,
     /// The first difference found.
     pub mismatch: Mismatch,
@@ -154,43 +154,26 @@ pub fn check_configs(
     compare_csr(&pivot.to_csr(), &gold, policy).map_err(|m| fail("tile[default]", m))?;
     let mut checked = 1;
 
-    // Bitwise tier: scheduling × pair-reuse × intersection never touch the
-    // per-tile arithmetic order, so the tiled product must be identical.
-    for scheduling in [
-        Scheduling::PerTile,
-        Scheduling::PerTileRow,
-        Scheduling::Binned,
-        Scheduling::Auto,
+    // Bitwise tier: the intersection kernel never touches the per-tile
+    // arithmetic order, so the tiled product must be identical.
+    for intersection in [
+        IntersectionKind::BinarySearch,
+        IntersectionKind::Merge,
+        IntersectionKind::Bitmap,
+        IntersectionKind::Adaptive,
     ] {
-        for pair_reuse in [true, false] {
-            for intersection in [
-                IntersectionKind::BinarySearch,
-                IntersectionKind::Merge,
-                IntersectionKind::Bitmap,
-                IntersectionKind::Adaptive,
-            ] {
-                let variant = format!(
-                    "tile[sched={scheduling:?},reuse={},isect={intersection:?}]",
-                    if pair_reuse { "on" } else { "off" }
-                );
-                let cfg = Config::builder()
-                    .scheduling(scheduling)
-                    .pair_reuse(pair_reuse)
-                    .intersection(intersection)
-                    .build();
-                let out = run_tile(&variant, a, b, &cfg)?;
-                if out.c != pivot.c {
-                    return Err(fail(
-                        variant,
-                        Mismatch::Run {
-                            detail: "tiled output is not bitwise identical to the default run"
-                                .to_string(),
-                        },
-                    ));
-                }
-                checked += 1;
-            }
+        let variant = format!("tile[isect={intersection:?}]");
+        let cfg = Config::builder().intersection(intersection).build();
+        let out = run_tile(&variant, a, b, &cfg)?;
+        if out.c != pivot.c {
+            return Err(fail(
+                variant,
+                Mismatch::Run {
+                    detail: "tiled output is not bitwise identical to the default run".to_string(),
+                },
+            ));
         }
+        checked += 1;
     }
 
     // Recorder attachment must also be invisible to the product.
@@ -232,25 +215,6 @@ pub fn check_configs(
         }
     }
     Ok(checked)
-}
-
-/// Masked/add runs free their inputs but keep the long-lived output
-/// allocation attributed until reset (same contract as the baseline
-/// methods), so the leftover must be bounded by the peak, not zero.
-fn bounded(variant: &str, tracker: &MemTracker) -> Result<(), OracleFailure> {
-    if tracker.current_bytes() > tracker.peak_bytes() {
-        return Err(fail(
-            variant,
-            Mismatch::Run {
-                detail: format!(
-                    "tracker leftover {} bytes exceeds peak {}",
-                    tracker.current_bytes(),
-                    tracker.peak_bytes()
-                ),
-            },
-        ));
-    }
-    Ok(())
 }
 
 /// A unit-valued structural mask keeping the entries of `pattern` whose
@@ -295,7 +259,7 @@ pub fn check_masked(
         let tm = TileMatrix::from_csr(mask);
         let out = multiply_masked(&ta, &tb, &tm, &Config::default(), &tracker)
             .map_err(|e| run_detail(variant, e))?;
-        bounded(variant, &tracker)?;
+        balanced(variant, &tracker)?;
         let expected = ops::hadamard(&gold, mask);
         compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(*variant, m))?;
         checked += 1;
@@ -384,7 +348,7 @@ pub fn check_chain(
         let cur = multiply(&ta, &tb, &config, &tracker).map_err(|e| run_detail(variant, e))?;
         let out = multiply_masked(&cur.c, &td, &tm, &config, &tracker)
             .map_err(|e| run_detail(variant, e))?;
-        bounded(variant, &tracker)?;
+        balanced(variant, &tracker)?;
         let expected = ops::hadamard(&gold, &mask);
         compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(variant, m))?;
         checked += 1;
@@ -450,7 +414,7 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
             let cfg = Config::builder().simd(policy).build();
             let out = multiply_masked(&ta, &tb, &tm, &cfg, &tracker)
                 .map_err(|e| run_detail(variant, e))?;
-            bounded(variant, &tracker)?;
+            balanced(variant, &tracker)?;
             Ok::<_, OracleFailure>(out)
         };
         let pivot = run("simd[scalar,masked]", SimdPolicy::ForceScalar)?;

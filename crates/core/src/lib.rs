@@ -60,7 +60,6 @@ pub use pipeline::{
 };
 pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};
-pub use step2::PairBuffer;
 pub use step3::AccumulatorKind;
 
 /// Tuning knobs of the algorithm. `Config::default()` is the paper's
@@ -71,10 +70,9 @@ pub use step3::AccumulatorKind;
 /// semver breaks.
 ///
 /// ```
-/// use tilespgemm_core::{Config, Scheduling};
+/// use tilespgemm_core::{Config, IntersectionKind};
 /// let cfg = Config::builder()
-///     .scheduling(Scheduling::Binned)
-///     .pair_reuse(false)
+///     .intersection(IntersectionKind::BinarySearch)
 ///     .build();
 /// assert_eq!(cfg.tnnz_threshold, 192); // unset fields keep the paper values
 /// ```
@@ -88,24 +86,15 @@ pub struct Config {
     /// (which it found faster than merging); the default here is
     /// [`IntersectionKind::Adaptive`], which picks binary search, merge, or
     /// the bitmap kernel per tile from list lengths and sidecar density —
-    /// a documented departure in the spirit of [`Config::pair_reuse`]. Set
+    /// a documented, bitwise-invisible departure. Set
     /// [`IntersectionKind::BinarySearch`] for the paper-faithful kernel.
     pub intersection: IntersectionKind,
     /// Accumulator policy for step 3 (paper: adaptive).
     pub accumulator: AccumulatorKind,
-    /// Task granularity for steps 2 and 3 (paper: one warp per tile; the
-    /// per-tile-row variant exists to demonstrate the load-imbalance the
-    /// paper's issue #1 attributes to row-level decomposition).
-    pub scheduling: Scheduling,
-    /// Persist the matched-pair lists found by step 2 in a compact CSR-like
-    /// buffer and reuse them in step 3, instead of re-running the set
-    /// intersection per tile as the paper's kernels do. On by default; turn
-    /// off to get the paper-faithful recompute path for ablation benches.
-    pub pair_reuse: bool,
     /// Sampled-estimator hints (see [`crate::sample`]) an admission layer
-    /// can pass down so the pipeline pre-sizes its buffers to the measured
-    /// product instead of growing them on demand. Purely an allocation
-    /// hint: the output is bit-identical with or without it.
+    /// can pass down; the step-3 dense-tile threshold reads them
+    /// ([`simd::dense_tile_threshold`]). Purely a kernel-choice hint: the
+    /// output is bit-identical with or without it.
     pub est_hints: Option<EstHints>,
     /// Step-3 numeric-kernel policy (see [`crate::simd`]): runtime-detected
     /// vector kernels plus the dense-tile fast path under `Auto` (default),
@@ -114,8 +103,8 @@ pub struct Config {
     pub simd: SimdPolicy,
 }
 
-/// What a sampled pre-pass predicted about the product — the allocation
-/// hints [`Config::est_hints`] carries into the pipeline. All-integer and
+/// What a sampled pre-pass predicted about the product — the hints
+/// [`Config::est_hints`] carries into the pipeline. All-integer and
 /// `Eq` so `Config` stays comparable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EstHints {
@@ -133,8 +122,6 @@ impl Default for Config {
             tnnz_threshold: 192,
             intersection: IntersectionKind::Adaptive,
             accumulator: AccumulatorKind::Adaptive,
-            scheduling: Scheduling::PerTile,
-            pair_reuse: true,
             est_hints: None,
             simd: SimdPolicy::Auto,
         }
@@ -173,18 +160,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the task granularity for steps 2 and 3.
-    pub fn scheduling(mut self, v: Scheduling) -> Self {
-        self.config.scheduling = v;
-        self
-    }
-
-    /// Enables or disables matched-pair reuse between steps 2 and 3.
-    pub fn pair_reuse(mut self, v: bool) -> Self {
-        self.config.pair_reuse = v;
-        self
-    }
-
     /// Attaches sampled-estimator pre-sizing hints (see [`EstHints`]).
     pub fn est_hints(mut self, v: Option<EstHints>) -> Self {
         self.config.est_hints = v;
@@ -201,29 +176,6 @@ impl ConfigBuilder {
     pub fn build(self) -> Config {
         self.config
     }
-}
-
-/// Task granularity for the per-tile phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Scheduling {
-    /// One parallel task per output tile — the paper's one-warp-per-tile
-    /// mapping, whose bounded work is the load-balancing argument of §1.
-    PerTile,
-    /// One parallel task per output *tile row* — a coarser, imbalance-prone
-    /// decomposition kept for the scheduling ablation bench.
-    PerTileRow,
-    /// Per-tile tasks dispatched heaviest bucket first: tiles are binned by
-    /// a cheap spECK-style work estimate (for step 3: tile nnz plus matched
-    /// pairs × average tile density of the A row) and the self-scheduling
-    /// chunk queue consumes the heaviest bins first, so giant tail tiles
-    /// cannot defeat work stealing.
-    Binned,
-    /// Picks [`Scheduling::Binned`] when the worker count and tile count
-    /// are both large enough for binning's extra pass to pay off, and
-    /// [`Scheduling::PerTile`] otherwise (small problems or low
-    /// parallelism, where binning is pure overhead).
-    Auto,
 }
 
 /// Errors surfaced by the SpGEMM pipelines in this workspace.
@@ -288,15 +240,12 @@ mod tests {
     fn default_config_is_the_papers() {
         let c = Config::default();
         assert_eq!(c.tnnz_threshold, 192);
-        // Two deliberate departures from the paper (DESIGN.md §7, §11):
-        // matched pairs found in step 2 are reused in step 3, and the
-        // intersection kernel is chosen adaptively per tile. Both are
+        // A deliberate departure from the paper (DESIGN.md §11): the
+        // intersection kernel is chosen adaptively per tile. It is
         // bitwise-invisible in the output.
         assert_eq!(c.intersection, IntersectionKind::Adaptive);
         assert_eq!(c.accumulator, AccumulatorKind::Adaptive);
-        assert_eq!(c.scheduling, Scheduling::PerTile);
-        assert!(c.pair_reuse);
-        // Third bitwise-invisible departure (DESIGN.md §15): the numeric
+        // Second bitwise-invisible departure (DESIGN.md §15): the numeric
         // kernels dispatch to runtime-detected SIMD lanes by default.
         assert_eq!(c.simd, SimdPolicy::Auto);
     }
@@ -304,15 +253,14 @@ mod tests {
     #[test]
     fn builder_overrides_only_named_fields() {
         let cfg = Config::builder()
-            .scheduling(Scheduling::Binned)
-            .pair_reuse(false)
+            .intersection(IntersectionKind::Merge)
+            .accumulator(AccumulatorKind::AlwaysDense)
             .build();
-        assert_eq!(cfg.scheduling, Scheduling::Binned);
-        assert!(!cfg.pair_reuse);
+        assert_eq!(cfg.intersection, IntersectionKind::Merge);
+        assert_eq!(cfg.accumulator, AccumulatorKind::AlwaysDense);
         // Everything unset keeps the paper defaults.
         assert_eq!(cfg.tnnz_threshold, 192);
-        assert_eq!(cfg.intersection, IntersectionKind::Adaptive);
-        assert_eq!(cfg.accumulator, AccumulatorKind::Adaptive);
+        assert_eq!(cfg.simd, SimdPolicy::Auto);
         assert_eq!(Config::builder().build(), Config::default());
     }
 

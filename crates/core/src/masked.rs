@@ -70,7 +70,11 @@ pub fn multiply_masked<T: Scalar>(
             vec![0u8; num_tiles * TILE_DIM],
         )
     });
-    tracker.on_alloc(num_tiles * (4 + TILE_DIM * 3 + 8) + b_cols.rowidx.len() * 16)?;
+    let step2_temp_bytes = num_tiles * (4 + TILE_DIM * 3 + 8) + b_cols.rowidx.len() * 16;
+    if let Err(e) = tracker.on_alloc(step2_temp_bytes) {
+        tracker.on_free(input_bytes);
+        return Err(e.into());
+    }
 
     // Step 2 with the mask ANDed in. The kernel level and dense-tile
     // threshold are run constants, like the unmasked pipeline's.
@@ -104,14 +108,22 @@ pub fn multiply_masked<T: Scalar>(
 
     let mut c_offsets = vec![0usize; num_tiles + 1];
     let nnz_c = tsg_runtime::exclusive_scan_to(&c_counts, &mut c_offsets);
-    let (mut c_row_idx, mut c_col_idx, mut c_vals) = breakdown.timed(Step::Alloc, || {
-        tracker.on_alloc(nnz_c * (2 + std::mem::size_of::<T>()))?;
+    let output_bytes = nnz_c * (2 + std::mem::size_of::<T>());
+    let alloc_res = breakdown.timed(Step::Alloc, || {
+        tracker.on_alloc(output_bytes)?;
         Ok::<_, SpGemmError>((
             tracker.timed_alloc(|| vec![0u8; nnz_c]),
             tracker.timed_alloc(|| vec![0u8; nnz_c]),
             tracker.timed_alloc(|| vec![T::ZERO; nnz_c]),
         ))
-    })?;
+    });
+    let (mut c_row_idx, mut c_col_idx, mut c_vals) = match alloc_res {
+        Ok(v) => v,
+        Err(e) => {
+            tracker.on_free(input_bytes + step2_temp_bytes);
+            return Err(e);
+        }
+    };
 
     // Step 3: numeric, but products whose column is masked out are dropped
     // by the sparse accumulator's rank addressing — we give it the masked
@@ -179,12 +191,14 @@ pub fn multiply_masked<T: Scalar>(
         masks: c_masks,
     };
     let peak_bytes = tracker.peak_bytes();
-    tracker.on_free(input_bytes);
+    // Release everything this product charged — inputs, step-2 temporaries
+    // and the output arrays (handed back to the host) — as the unmasked
+    // pipeline does, so the tracker returns to its pre-call level.
+    tracker.on_free(input_bytes + step2_temp_bytes + output_bytes);
     Ok(crate::Output {
         c,
         breakdown,
         peak_bytes,
-        pair_buffer: None,
         conversion: None,
     })
 }
@@ -289,6 +303,34 @@ mod tests {
         let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &MemTracker::new()).unwrap();
         assert_eq!(out.c.nnz(), 0);
         assert_eq!(out.c.tile_count(), 0);
+    }
+
+    #[test]
+    fn tracker_returns_to_zero_after_masked_multiply() {
+        let a = random(80, 5, 11);
+        let mask = random(80, 8, 12);
+        let ta = TileMatrix::from_csr(&a);
+        let tm = TileMatrix::from_csr(&mask);
+        let tracker = MemTracker::new();
+        let out = multiply_masked(&ta, &ta, &tm, &Config::default(), &tracker).unwrap();
+        assert!(out.c.nnz() > 0);
+        assert_eq!(
+            tracker.current_bytes(),
+            0,
+            "a masked multiply must not leak"
+        );
+        // Budgets that refuse the inputs, the step-2 temporaries and the
+        // output each unwind to zero as well.
+        let inputs = crate::pipeline::tile_matrix_bytes(&ta) * 2;
+        for budget in [inputs / 2, inputs + 1, out.peak_bytes - 1] {
+            let tracker = MemTracker::with_budget(budget);
+            let err = multiply_masked(&ta, &ta, &tm, &Config::default(), &tracker).unwrap_err();
+            assert!(
+                matches!(err, SpGemmError::OutOfMemory(_)),
+                "budget {budget}"
+            );
+            assert_eq!(tracker.current_bytes(), 0, "refused at budget {budget}");
+        }
     }
 
     #[test]

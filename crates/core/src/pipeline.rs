@@ -6,17 +6,13 @@ use crate::convert::{timed_csr_to_tile, ConversionTiming};
 use crate::intersect::{resolve_kind, IntersectionKind};
 use crate::simd::{self, Kernel};
 use crate::step1::tile_structure_spgemm;
-use crate::step2::{encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
-use crate::{Config, Scheduling, SpGemmError};
+use crate::step2::{matched_pairs_with, symbolic_tile};
+use crate::{Config, SpGemmError};
 
 use rayon::prelude::*;
 use tsg_matrix::{Csr, ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
-use tsg_runtime::arena::Scratch;
 use tsg_runtime::observe::{Counter, NullRecorder, Recorder};
-use tsg_runtime::{
-    bin_rows_by, split_mut_by_offsets, split_mut_uniform, Bins, Breakdown, MemTracker, ScratchPool,
-    Step,
-};
+use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, ScratchPool, Step};
 
 /// The result of a TileSpGEMM multiplication — the one result type both the
 /// tiled and the CSR entry points return.
@@ -29,9 +25,6 @@ pub struct Output<T> {
     pub breakdown: Breakdown,
     /// Peak tracked device bytes during this multiplication.
     pub peak_bytes: usize,
-    /// The matched-pair lists step 2 persisted and step 3 consumed; present
-    /// iff [`Config::pair_reuse`] was on. Exposed for tests and ablations.
-    pub pair_buffer: Option<PairBuffer>,
     /// CSR → tiled conversion timing, summed over both operands. `Some` iff
     /// this output came from a CSR entry point; the tiled entry points set
     /// `None`. Conversion stays outside [`Output::breakdown`], matching the
@@ -47,10 +40,6 @@ impl<T: Scalar> Output<T> {
     }
 }
 
-/// Bucket count for [`crate::Scheduling::Binned`]: keys up to `2^18` get
-/// their own power-of-two bucket, larger ones clamp into the last.
-const BINNED_BUCKETS: usize = 20;
-
 /// Footprint cap for the bitmap intersection sidecars: when
 /// [`ListBitmaps::bytes_for`] over both operands exceeds this, the sidecars
 /// are skipped and `Bitmap`/`Adaptive` degrade to the list kernels. The cap
@@ -58,103 +47,6 @@ const BINNED_BUCKETS: usize = 20;
 /// while admitting every matrix in the evaluation suite (webbase-like at
 /// scale 14 needs ≈0.4 MB).
 const TILE_BITMAP_MAX_BYTES: usize = 8 << 20;
-
-/// [`crate::Scheduling::Auto`] picks `Binned` only at or above this worker
-/// count: below it, the bin/permute bookkeeping cannot buy back anything
-/// because there is hardly any imbalance to fix.
-const AUTO_MIN_THREADS: usize = 4;
-
-/// [`crate::Scheduling::Auto`] picks `Binned` only at or above this tile
-/// count: with few tiles the phase is too short for dispatch order to
-/// matter.
-const AUTO_MIN_TILES: usize = 4096;
-
-/// Resolves [`crate::Scheduling::Auto`] to a concrete strategy from the
-/// available parallelism and the output's tile count.
-///
-/// An explicit `Binned` request on a single worker also resolves to
-/// `PerTile`: the dispatch order cannot balance anything when every tile
-/// runs on the same thread, so the bin keys (a pass over B's tile-column
-/// nnz plus a per-tile work estimate) and the window permutation would be
-/// pure overhead. The degradation is observable only in wall time and the
-/// bin counters — tile outputs are bitwise identical either way.
-fn resolve_scheduling(s: Scheduling, num_tiles: usize) -> Scheduling {
-    let threads = rayon::current_num_threads().max(1);
-    match s {
-        Scheduling::Auto => {
-            if threads >= AUTO_MIN_THREADS && num_tiles >= AUTO_MIN_TILES {
-                Scheduling::Binned
-            } else {
-                Scheduling::PerTile
-            }
-        }
-        Scheduling::Binned if threads == 1 => Scheduling::PerTile,
-        other => other,
-    }
-}
-
-/// Stored nonzeros of `A`'s tile row `ti` — O(1) from the cumulative
-/// per-tile nnz offsets. Feeds the binned work estimates.
-fn tile_row_nnz<T: Scalar>(a: &TileMatrix<T>, ti: usize) -> usize {
-    a.tile_nnz[a.tile_ptr[ti + 1]] - a.tile_nnz[a.tile_ptr[ti]]
-}
-
-/// Flattens bins heaviest bucket first. The runtime's self-scheduling chunk
-/// queue consumes the permutation front to back, so dispatching heavy tiles
-/// first approximates longest-processing-time-first scheduling and keeps a
-/// giant tail tile from serializing the end of the phase.
-fn heavy_first(bins: &Bins) -> Vec<u32> {
-    let mut order = Vec::with_capacity(bins.rows.len());
-    for b in (0..bins.bucket_count()).rev() {
-        order.extend_from_slice(bins.bucket(b));
-    }
-    order
-}
-
-/// Deals a heavy-first sequence round-robin into `ways` buckets and
-/// concatenates them. The executor hands out contiguous chunks, so a plain
-/// heavy-first order would concentrate every heavy tile into the first chunk
-/// and serialize them on one worker; dealing gives each chunk an even share
-/// of heavy and light tiles with the heavy ones still leading.
-fn deal(order: &[u32], ways: usize) -> Vec<u32> {
-    let ways = ways.clamp(1, order.len().max(1));
-    let mut out = Vec::with_capacity(order.len());
-    for start in 0..ways {
-        out.extend(order.iter().skip(start).step_by(ways));
-    }
-    out
-}
-
-/// The dispatch order for [`crate::Scheduling::Binned`]: heaviest bucket
-/// first, dealt across as many buckets as the executor makes chunks.
-///
-/// With a single worker the dispatch order cannot balance anything — every
-/// tile runs on the same thread regardless — while the dealt order still
-/// destroys the sequential tile locality the per-tile dispatch gets for
-/// free. So one worker keeps the natural order; [`resolve_scheduling`]
-/// normally short-circuits that case to `PerTile` before the bins are even
-/// built, and this branch backstops any caller that builds them anyway.
-fn binned_order(bins: &Bins) -> Vec<u32> {
-    let threads = rayon::current_num_threads().max(1);
-    if threads == 1 {
-        return (0..bins.rows.len() as u32).collect();
-    }
-    deal(&heavy_first(bins), threads * 4)
-}
-
-/// Reorders per-tile windows by `order`, a permutation of `0..windows.len()`.
-fn permuted<W>(windows: Vec<W>, order: &[u32]) -> Vec<W> {
-    debug_assert_eq!(windows.len(), order.len());
-    let mut slots: Vec<Option<W>> = windows.into_iter().map(Some).collect();
-    order
-        .iter()
-        .map(|&t| {
-            slots[t as usize]
-                .take()
-                .expect("order must be a permutation")
-        })
-        .collect()
-}
 
 /// Set-intersection lookups a step-2/step-3 intersection pass issues, plus
 /// the chosen-kernel histogram `[binary-search, merge, bitmap]`, derived
@@ -218,7 +110,7 @@ pub fn multiply<T: Scalar>(
 /// [`multiply`] with an explicit recorder and job id: phase spans nest under
 /// a `"job"` root span recorded for `job`, and the pipeline's counters
 /// ([`Counter::TilesVisited`], matched pairs, intersection probes, the
-/// chosen-kernel histogram, accumulator picks, bin occupancy) flow into the
+/// chosen-kernel histogram, accumulator picks) flow into the
 /// recorder.
 ///
 /// All per-tile instrumentation is derived outside the parallel hot loops
@@ -244,12 +136,13 @@ pub fn multiply_with<T: Scalar>(
 
 /// [`multiply_with`] against a caller-owned [`ScratchPool`].
 ///
-/// Steps 2 and 3 check a [`Scratch`] arena out of `arena` once per task
-/// chunk; after the first multiply warms the pool, the per-tile hot path
-/// performs zero heap allocations (DESIGN.md §11). The pool's total
-/// footprint is charged to `tracker` for the duration of the call (so
-/// `peak_bytes` covers scratch memory) and credited back at the end —
-/// growth observed during the run is reconciled before the peak is read.
+/// Steps 2 and 3 check a [`tsg_runtime::Scratch`] arena out of `arena` once
+/// per task chunk; after the first multiply warms the pool, the per-tile hot
+/// path performs zero heap allocations (DESIGN.md §11). Scratch is charged
+/// to `tracker` for the duration of the call (so `peak_bytes` covers it) as
+/// one fixed amount per executor slot, derived from the per-tile pair bound
+/// step 1 implies — never from realized capacities, so identical inputs
+/// report identical bytes at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn multiply_with_pool<T: Scalar>(
     a: &TileMatrix<T>,
@@ -303,7 +196,7 @@ pub fn multiply_with_pool<T: Scalar>(
     // them and the footprint gate admits them — the bitmap sidecars of A's
     // tile rows and B's tile columns.
     let span = recorder.span_enter(job, "alloc");
-    let (b_cols, bitmaps, c_rowidx, mut c_masks, mut c_row_ptr) =
+    let (b_cols, bitmaps, c_rowidx, max_pairs, mut c_masks, mut c_row_ptr) =
         breakdown.timed(Step::Alloc, || {
             let b_cols = b.col_index();
             let bitmaps: Option<(ListBitmaps, ListBitmaps)> = match config.intersection {
@@ -326,9 +219,21 @@ pub fn multiply_with_pool<T: Scalar>(
             for ti in 0..c_pattern.rows {
                 c_rowidx[c_pattern.ptr[ti]..c_pattern.ptr[ti + 1]].fill(ti as u32);
             }
+            // A tile's intersection matches at most min(|A tile row|, |B
+            // tile column|) pairs, so scratch pair lists reserved to the
+            // largest such minimum never grow during steps 2 and 3.
+            let max_pairs = c_rowidx
+                .iter()
+                .zip(&c_pattern.idx)
+                .map(|(&ti, &tj)| {
+                    let la = a.tile_row_range(ti as usize).len();
+                    la.min(b_cols.col(tj as usize).0.len())
+                })
+                .max()
+                .unwrap_or(0);
             let c_masks = vec![0u16; num_tiles * TILE_DIM];
             let c_row_ptr = vec![0u8; num_tiles * TILE_DIM];
-            (b_cols, bitmaps, c_rowidx, c_masks, c_row_ptr)
+            (b_cols, bitmaps, c_rowidx, max_pairs, c_masks, c_row_ptr)
         });
     recorder.span_exit(span);
     let bitmaps_ref = bitmaps.as_ref().map(|(am, bm)| (am, bm));
@@ -345,201 +250,53 @@ pub fn multiply_with_pool<T: Scalar>(
     }
 
     // Reserve one scratch arena per executor chunk (the same sizing the
-    // `for_each_init` dispatch below uses) and charge the pool's footprint
-    // for the duration of this multiply. A warmed pool re-charges its grown
-    // size, so scratch memory shows up in `peak_bytes` every run.
+    // `for_each_init` dispatch below uses), pair lists pre-grown to the
+    // per-tile bound, and charge a fixed amount per slot for the duration
+    // of this multiply — so scratch memory shows up in `peak_bytes` every
+    // run, identically at any thread count.
     let arena_slots = rayon::current_num_threads().max(1) * 4;
-    let arena_charged = match arena.reserve(arena_slots, tracker) {
+    let arena_charged = match arena.reserve(arena_slots, max_pairs, tracker) {
         Ok(bytes) => bytes,
         Err(e) => {
             tracker.on_free(input_bytes + step2_temp_bytes);
             return Err(fail(e.into()));
         }
     };
-    let scheduling = resolve_scheduling(config.scheduling, num_tiles);
-
-    // Binned dispatch keys want a B-side density term (a matched pair's
-    // mask-OR walks the A tile *and* touches the B tile's row masks, and
-    // pairing against a dense B tile column is proportionally heavier).
-    // One cheap pass over the tile-column index gives the per-column stored
-    // nonzeros; per-pair average = b_col_nnz[tj] / lb.
-    let b_col_nnz: Vec<usize> = if matches!(scheduling, Scheduling::Binned) {
-        (0..b_cols.tile_n)
-            .map(|tj| {
-                b_cols
-                    .col(tj)
-                    .1
-                    .iter()
-                    .map(|&t| b.tile_nnz_of(t as usize))
-                    .sum()
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-
-    // Sampled-estimator pre-sizing: when the admission layer measured the
-    // product (see `crate::sample`), warm the scratch arenas and the pair
-    // staging slots to the predicted per-tile pair count so the hot phases
-    // start with capacity instead of growing mid-flight. Allocation only —
-    // the output is bit-identical with or without hints.
-    // Step 1 already ran, so the exact output-tile count beats the hinted
-    // one as the divisor.
-    let avg_hint_words = config.est_hints.map_or(0, |h| h.pairs / num_tiles.max(1));
-    if avg_hint_words >= 8 {
-        let guards: Vec<_> = (0..arena_slots)
-            .map(|_| {
-                let mut g = arena.checkout();
-                g.pos_pairs.reserve(avg_hint_words);
-                g.id_pairs.reserve(avg_hint_words);
-                g
-            })
-            .collect();
-        drop(guards);
-    }
 
     // ---- Step 2: per-tile symbolic (Algorithm 2). ----
     let mut c_counts = vec![0usize; num_tiles];
-    // Matched-pair count per tile: always recorded (one word per tile) — it
-    // feeds the Binned step-3 work estimate and the counters.
+    // Matched-pair count per tile (one word per tile) — feeds the counters.
     let mut pair_counts = vec![0usize; num_tiles];
-    // With pair reuse on, step 2 parks each tile's packed pair words here;
-    // they are flattened into the compact PairBuffer right after the phase.
-    // A sampled estimate pre-sizes the slots to the predicted per-tile pair
-    // count, skipping the doubling reallocations of the first few pushes.
-    let mut pair_slots: Vec<Vec<u16>> = if config.pair_reuse && avg_hint_words >= 8 {
-        (0..num_tiles)
-            .map(|_| Vec::with_capacity(avg_hint_words))
-            .collect()
-    } else {
-        vec![Vec::new(); num_tiles]
-    };
-    let step2_tile = |s: &mut Scratch,
-                      t: usize,
-                      mask_w: &mut [u16],
-                      row_ptr_w: &mut [u8],
-                      count: &mut usize,
-                      pair_count: &mut usize,
-                      slot: &mut Vec<u16>| {
-        let ti = c_rowidx[t] as usize;
-        let tj = c_pattern.idx[t] as usize;
-        matched_pairs_with(
-            a,
-            &b_cols,
-            ti,
-            tj,
-            config.intersection,
-            bitmaps_ref,
-            &mut s.pos_pairs,
-            &mut s.id_pairs,
-        );
-        *pair_count = s.id_pairs.len();
-        let sym = symbolic_tile(a, b, &s.id_pairs);
-        mask_w.copy_from_slice(&sym.masks);
-        row_ptr_w.copy_from_slice(&sym.row_ptr);
-        *count = sym.nnz;
-        if config.pair_reuse {
-            // Pack the list positions straight into the tile's slot; step 3
-            // decodes them back to flat ids with the same base/id context.
-            encode_pairs(&s.pos_pairs, slot);
-        }
-    };
-    // Per-tile work estimate for the binned dispatch, calibrated against
-    // measured per-pair cost: the intersection visits ~min(la, lb)
-    // candidates, and each matched pair (≤ min(la, lb)) walks one of A's
-    // tiles in the row (average nnz = row nnz / la) *and* ORs the matching
-    // B tile's row masks (average nnz = column nnz / lb) — the product
-    // proxy the sampled estimator measures, replacing the A-only model
-    // that ignored B-side density entirely.
-    let step2_estimate = |t: usize| {
-        let ti = c_rowidx[t] as usize;
-        let tj = c_pattern.idx[t] as usize;
-        let la = a.tile_row_range(ti).len();
-        let lb = b_cols.col(tj).0.len();
-        let m = la.min(lb);
-        m + m * (tile_row_nnz(a, ti) / la.max(1) + b_col_nnz[tj] / lb.max(1))
-    };
     let span = recorder.span_enter(job, "step2");
-    breakdown.timed(Step::Step2, || match scheduling {
-        Scheduling::PerTile => {
-            c_masks
-                .par_chunks_mut(TILE_DIM)
-                .zip(c_row_ptr.par_chunks_mut(TILE_DIM))
-                .zip(c_counts.par_iter_mut())
-                .zip(pair_counts.par_iter_mut())
-                .zip(pair_slots.par_iter_mut())
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (t, ((((mask_w, row_ptr_w), count), pair_count), slot))| {
-                        step2_tile(s, t, mask_w, row_ptr_w, count, pair_count, slot);
-                    },
-                );
-        }
-        Scheduling::PerTileRow => {
-            let elem_bounds: Vec<usize> = c_pattern.ptr.iter().map(|&t| t * TILE_DIM).collect();
-            let masks_rows = split_mut_by_offsets(&mut c_masks, &elem_bounds);
-            let rowptr_rows = split_mut_by_offsets(&mut c_row_ptr, &elem_bounds);
-            let counts_rows = split_mut_by_offsets(&mut c_counts, &c_pattern.ptr);
-            let paircnt_rows = split_mut_by_offsets(&mut pair_counts, &c_pattern.ptr);
-            let slots_rows = split_mut_by_offsets(&mut pair_slots, &c_pattern.ptr);
-            masks_rows
-                .into_par_iter()
-                .zip(rowptr_rows)
-                .zip(counts_rows)
-                .zip(paircnt_rows)
-                .zip(slots_rows)
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (ti, ((((masks_r, rowptr_r), counts_r), paircnt_r), slots_r))| {
-                        let base = c_pattern.ptr[ti];
-                        for (k, count) in counts_r.iter_mut().enumerate() {
-                            step2_tile(
-                                s,
-                                base + k,
-                                &mut masks_r[k * TILE_DIM..(k + 1) * TILE_DIM],
-                                &mut rowptr_r[k * TILE_DIM..(k + 1) * TILE_DIM],
-                                count,
-                                &mut paircnt_r[k],
-                                &mut slots_r[k],
-                            );
-                        }
-                    },
-                );
-        }
-        Scheduling::Binned => {
-            if num_tiles == 0 {
-                return;
-            }
-            let bins = bin_rows_by(num_tiles, BINNED_BUCKETS, step2_estimate);
-            if enabled {
-                recorder.add(Counter::BinnedTiles, num_tiles as u64);
-                recorder.add(Counter::BinsOccupied, bins.occupied_buckets() as u64);
-            }
-            let order = binned_order(&bins);
-            let masks_w = permuted(split_mut_uniform(&mut c_masks, num_tiles), &order);
-            let rowptr_w = permuted(split_mut_uniform(&mut c_row_ptr, num_tiles), &order);
-            let counts_w = permuted(c_counts.iter_mut().collect(), &order);
-            let paircnt_w = permuted(pair_counts.iter_mut().collect(), &order);
-            let slots_w = permuted(pair_slots.iter_mut().collect(), &order);
-            order
-                .par_iter()
-                .zip(masks_w)
-                .zip(rowptr_w)
-                .zip(counts_w)
-                .zip(paircnt_w)
-                .zip(slots_w)
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (((((&t, mask_w), row_ptr_w), count), pair_count), slot)| {
-                        step2_tile(s, t as usize, mask_w, row_ptr_w, count, pair_count, slot);
-                    },
-                );
-        }
-        Scheduling::Auto => unreachable!("Auto resolved before dispatch"),
+    breakdown.timed(Step::Step2, || {
+        c_masks
+            .par_chunks_mut(TILE_DIM)
+            .zip(c_row_ptr.par_chunks_mut(TILE_DIM))
+            .zip(c_counts.par_iter_mut())
+            .zip(pair_counts.par_iter_mut())
+            .enumerate()
+            .for_each_init(
+                || arena.checkout(),
+                |s, (t, (((mask_w, row_ptr_w), count), pair_count))| {
+                    let s = &mut **s;
+                    matched_pairs_with(
+                        a,
+                        &b_cols,
+                        c_rowidx[t] as usize,
+                        c_pattern.idx[t] as usize,
+                        config.intersection,
+                        bitmaps_ref,
+                        &mut s.pos_pairs,
+                        &mut s.id_pairs,
+                    );
+                    *pair_count = s.id_pairs.len();
+                    let sym = symbolic_tile(a, b, &s.id_pairs);
+                    mask_w.copy_from_slice(&sym.masks);
+                    row_ptr_w.copy_from_slice(&sym.row_ptr);
+                    *count = sym.nnz;
+                },
+            );
     });
-
     recorder.span_exit(span);
 
     // Prefix-sum the per-tile counts into the tileNnz offsets — the scan
@@ -578,41 +335,6 @@ pub fn multiply_with_pool<T: Scalar>(
         0
     };
 
-    // Flatten the per-tile packed words into the compact CSR-shaped buffer
-    // step 3 will read. The per-tile staging vectors are host-side scratch;
-    // only the compact buffer is tracked as device memory.
-    let pair_buffer: Option<PairBuffer> = if config.pair_reuse {
-        let span = recorder.span_enter(job, "alloc");
-        let res = breakdown.timed(Step::Alloc, || {
-            let word_counts: Vec<usize> = pair_slots.iter().map(Vec::len).collect();
-            let mut word_offsets = vec![0usize; num_tiles + 1];
-            let total_words = tsg_runtime::par_exclusive_scan_to(&word_counts, &mut word_offsets);
-            tracker.on_alloc(
-                total_words * std::mem::size_of::<u16>()
-                    + (num_tiles + 1) * std::mem::size_of::<u32>(),
-            )?;
-            let mut words = vec![0u16; total_words];
-            split_mut_by_offsets(&mut words, &word_offsets)
-                .into_par_iter()
-                .zip(pair_slots.par_iter())
-                .for_each(|(w, slot)| w.copy_from_slice(slot));
-            let offsets: Vec<u32> = word_offsets.iter().map(|&o| o as u32).collect();
-            Ok::<_, SpGemmError>(PairBuffer { offsets, words })
-        });
-        recorder.span_exit(span);
-        match res {
-            Ok(buf) => Some(buf),
-            Err(e) => {
-                tracker.on_free(input_bytes + step2_temp_bytes + arena_charged);
-                return Err(fail(e));
-            }
-        }
-    } else {
-        None
-    };
-    drop(pair_slots);
-    let pair_bytes = pair_buffer.as_ref().map_or(0, PairBuffer::bytes);
-
     let output_bytes = nnz_c * (2 + std::mem::size_of::<T>()) + (num_tiles + 1) * 8;
     let span = recorder.span_enter(job, "alloc");
     let alloc_res = breakdown.timed(Step::Alloc, || {
@@ -627,7 +349,7 @@ pub fn multiply_with_pool<T: Scalar>(
     let (mut c_row_idx, mut c_col_idx, mut c_vals) = match alloc_res {
         Ok(v) => v,
         Err(e) => {
-            tracker.on_free(input_bytes + step2_temp_bytes + pair_bytes + arena_charged);
+            tracker.on_free(input_bytes + step2_temp_bytes + arena_charged);
             return Err(fail(e));
         }
     };
@@ -638,156 +360,67 @@ pub fn multiply_with_pool<T: Scalar>(
     // detection), so the counter replay below re-derives the same choices.
     let simd_level = simd::resolve_level(config.simd);
     let dense_tile_nnz = simd::dense_tile_threshold(config.tnnz_threshold, config.est_hints);
-    let step3_tile = |s: &mut Scratch,
-                      t: usize,
-                      row_idx_w: &mut [u8],
-                      col_idx_w: &mut [u8],
-                      vals_w: &mut [T]| {
-        let masks = &c_masks[t * TILE_DIM..(t + 1) * TILE_DIM];
-        let row_ptr = &c_row_ptr[t * TILE_DIM..(t + 1) * TILE_DIM];
-        let filled = simd::fill_indices_fast(masks, row_idx_w, col_idx_w, simd_level);
-        debug_assert_eq!(filled, vals_w.len());
-        let ti = c_rowidx[t] as usize;
-        let tj = c_pattern.idx[t] as usize;
-        // With pair reuse on, step 2's persisted packed list replaces the
-        // second intersection of A's tile row with B's tile column.
-        match &pair_buffer {
-            Some(buf) => {
-                let (_, b_ids) = b_cols.col(tj);
-                buf.decode_tile(t, a.tile_ptr[ti] as u32, b_ids, &mut s.id_pairs);
-            }
-            None => {
-                matched_pairs_with(
-                    a,
-                    &b_cols,
-                    ti,
-                    tj,
-                    config.intersection,
-                    bitmaps_ref,
-                    &mut s.pos_pairs,
-                    &mut s.id_pairs,
-                );
-            }
-        }
-        let kernel = simd::select_kernel(
-            config.simd,
-            simd_level,
-            vals_w.len(),
-            config.accumulator,
-            config.tnnz_threshold,
-            dense_tile_nnz,
-        );
-        simd::run_numeric(
-            kernel,
-            simd_level,
-            a,
-            b,
-            &s.id_pairs,
-            masks,
-            row_ptr,
-            vals_w,
-        );
-    };
     let span = recorder.span_enter(job, "step3");
-    breakdown.timed(Step::Step3, || match scheduling {
-        Scheduling::PerTile => {
-            let row_idx_w = split_mut_by_offsets(&mut c_row_idx, &c_offsets);
-            let col_idx_w = split_mut_by_offsets(&mut c_col_idx, &c_offsets);
-            let vals_w = split_mut_by_offsets(&mut c_vals, &c_offsets);
-            row_idx_w
-                .into_par_iter()
-                .zip(col_idx_w)
-                .zip(vals_w)
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (t, ((row_idx_w, col_idx_w), vals_w))| {
-                        step3_tile(s, t, row_idx_w, col_idx_w, vals_w);
-                    },
-                );
-        }
-        Scheduling::PerTileRow => {
-            let row_bounds: Vec<usize> = c_pattern.ptr.iter().map(|&t| c_offsets[t]).collect();
-            let row_idx_rows = split_mut_by_offsets(&mut c_row_idx, &row_bounds);
-            let col_idx_rows = split_mut_by_offsets(&mut c_col_idx, &row_bounds);
-            let vals_rows = split_mut_by_offsets(&mut c_vals, &row_bounds);
-            row_idx_rows
-                .into_par_iter()
-                .zip(col_idx_rows)
-                .zip(vals_rows)
-                .enumerate()
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (ti, ((ri_r, ci_r), vals_r))| {
-                        let tile_base = c_pattern.ptr[ti];
-                        let elem_base = c_offsets[tile_base];
-                        for t in tile_base..c_pattern.ptr[ti + 1] {
-                            let lo = c_offsets[t] - elem_base;
-                            let hi = c_offsets[t + 1] - elem_base;
-                            // Split the row window into this tile's slice.
-                            step3_tile(
-                                s,
-                                t,
-                                &mut ri_r[lo..hi],
-                                &mut ci_r[lo..hi],
-                                &mut vals_r[lo..hi],
-                            );
-                        }
-                    },
-                );
-        }
-        Scheduling::Binned => {
-            if num_tiles == 0 {
-                return;
-            }
-            // Work estimate from exact, free-to-read step-2 facts: writing
-            // the tile's nnz plus, per persisted pair, the walk over one of
-            // A's tiles in the row (average nnz = row nnz / la) and the
-            // scatter into the matching B tile (average nnz = column nnz /
-            // lb) — the same product proxy the step-2 bins use.
-            let bins = bin_rows_by(num_tiles, BINNED_BUCKETS, |t| {
-                let ti = c_rowidx[t] as usize;
-                let tj = c_pattern.idx[t] as usize;
-                let la = a.tile_row_range(ti).len();
-                let lb = b_cols.col(tj).0.len();
-                c_counts[t]
-                    + pair_counts[t]
-                        * (tile_row_nnz(a, ti) / la.max(1) + b_col_nnz[tj] / lb.max(1)).max(1)
-            });
-            if enabled {
-                recorder.add(Counter::BinnedTiles, num_tiles as u64);
-                recorder.add(Counter::BinsOccupied, bins.occupied_buckets() as u64);
-            }
-            let order = binned_order(&bins);
-            let row_idx_w = permuted(split_mut_by_offsets(&mut c_row_idx, &c_offsets), &order);
-            let col_idx_w = permuted(split_mut_by_offsets(&mut c_col_idx, &c_offsets), &order);
-            let vals_w = permuted(split_mut_by_offsets(&mut c_vals, &c_offsets), &order);
-            order
-                .par_iter()
-                .zip(row_idx_w)
-                .zip(col_idx_w)
-                .zip(vals_w)
-                .for_each_init(
-                    || arena.checkout(),
-                    |s, (((&t, row_idx_w), col_idx_w), vals_w)| {
-                        step3_tile(s, t as usize, row_idx_w, col_idx_w, vals_w);
-                    },
-                );
-        }
-        Scheduling::Auto => unreachable!("Auto resolved before dispatch"),
+    breakdown.timed(Step::Step3, || {
+        let row_idx_w = split_mut_by_offsets(&mut c_row_idx, &c_offsets);
+        let col_idx_w = split_mut_by_offsets(&mut c_col_idx, &c_offsets);
+        let vals_w = split_mut_by_offsets(&mut c_vals, &c_offsets);
+        row_idx_w
+            .into_par_iter()
+            .zip(col_idx_w)
+            .zip(vals_w)
+            .enumerate()
+            .for_each_init(
+                || arena.checkout(),
+                |s, (t, ((row_idx_w, col_idx_w), vals_w))| {
+                    let s = &mut **s;
+                    let masks = &c_masks[t * TILE_DIM..(t + 1) * TILE_DIM];
+                    let row_ptr = &c_row_ptr[t * TILE_DIM..(t + 1) * TILE_DIM];
+                    let filled = simd::fill_indices_fast(masks, row_idx_w, col_idx_w, simd_level);
+                    debug_assert_eq!(filled, vals_w.len());
+                    // Like the paper's kernels, step 3 repeats the step-2
+                    // intersection of A's tile row with B's tile column.
+                    matched_pairs_with(
+                        a,
+                        &b_cols,
+                        c_rowidx[t] as usize,
+                        c_pattern.idx[t] as usize,
+                        config.intersection,
+                        bitmaps_ref,
+                        &mut s.pos_pairs,
+                        &mut s.id_pairs,
+                    );
+                    let kernel = simd::select_kernel(
+                        config.simd,
+                        simd_level,
+                        vals_w.len(),
+                        config.accumulator,
+                        config.tnnz_threshold,
+                        dense_tile_nnz,
+                    );
+                    simd::run_numeric(
+                        kernel,
+                        simd_level,
+                        a,
+                        b,
+                        &s.id_pairs,
+                        masks,
+                        row_ptr,
+                        vals_w,
+                    );
+                },
+            );
     });
     recorder.span_exit(span);
 
     // Step-3 counters: the kernel pick per tile re-derives the exact branch
-    // `step3_tile` took (same inputs, same pure selector), and a run
-    // without pair reuse repeats the step-2 intersections, so the probe
-    // count is charged again. `sparse + dense` still sums to the visited
-    // tiles; the `simd_*`/`dense_tile` counters histogram which
-    // implementation ran each accumulator shape.
+    // step 3 took (same inputs, same pure selector), and step 3 repeats the
+    // step-2 intersections, so the probe count is charged again.
+    // `sparse + dense` still sums to the visited tiles; the
+    // `simd_*`/`dense_tile` counters histogram which implementation ran
+    // each accumulator shape.
     if enabled {
-        if pair_buffer.is_none() {
-            recorder.add(Counter::IntersectionProbes, probes);
-        }
+        recorder.add(Counter::IntersectionProbes, probes);
         let (mut sparse, mut dense) = (0u64, 0u64);
         let (mut simd_sparse, mut simd_dense, mut dense_tile) = (0u64, 0u64, 0u64);
         for t in 0..num_tiles {
@@ -850,36 +483,20 @@ pub fn multiply_with_pool<T: Scalar>(
         masks: c_masks,
     };
 
-    // Reconcile arena growth: the reservation charged the pool's footprint
-    // as of step-2 start; any buffer growth during steps 2/3 is charged now
-    // so the peak reflects the true scratch high-water mark.
-    let arena_total = {
-        let grown = arena.bytes().saturating_sub(arena_charged);
-        if grown > 0 {
-            if let Err(e) = tracker.on_alloc(grown) {
-                tracker.on_free(
-                    input_bytes + step2_temp_bytes + pair_bytes + output_bytes + arena_charged,
-                );
-                return Err(fail(e.into()));
-            }
-        }
-        arena_charged + grown
-    };
     let peak_bytes = tracker.peak_bytes().max(peak_start);
     // Everything this product allocated is released: inputs, step-2
-    // temporaries, the pair buffer, the arena reservation, and the output
-    // arrays (handed back to the host). The tracker's current-bytes count
+    // temporaries, the arena reservation, and the output arrays (handed
+    // back to the host). The tracker's current-bytes count
     // returns to its pre-call level — DESIGN.md §5's balanced alloc/free
     // rule. The arenas themselves stay warm in the pool for the next
     // multiply; only the tracker charge is released.
-    tracker.on_free(input_bytes + step2_temp_bytes + pair_bytes + output_bytes + arena_total);
+    tracker.on_free(input_bytes + step2_temp_bytes + output_bytes + arena_charged);
     recorder.span_exit(root);
 
     Ok(Output {
         c,
         breakdown,
         peak_bytes,
-        pair_buffer,
         conversion: None,
     })
 }
@@ -934,7 +551,6 @@ pub fn tile_matrix_bytes<T: Scalar>(m: &TileMatrix<T>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::step2::matched_pairs;
     use tsg_matrix::{Coo, Dense};
 
     fn random_csr(n: usize, per_row: usize, seed: u64) -> Csr<f64> {
@@ -1023,8 +639,9 @@ mod tests {
     fn scheduling_variants_agree_bitwise() {
         use tsg_gen::suite::GenSpec;
         // Skewed R-MAT inputs (a Graph500-parameter one and a webbase-like
-        // one) on top of the uniform random matrix: binning and pair reuse
-        // must be invisible in the output on every input family.
+        // one) on top of the uniform random matrix: however many workers
+        // drain the per-tile queue, the output must be the same bits on
+        // every input family.
         let inputs: Vec<(&str, Csr<f64>)> = vec![
             ("uniform-random", random_csr(150, 6, 21)),
             (
@@ -1051,96 +668,30 @@ mod tests {
         for (name, a) in &inputs {
             let ta = TileMatrix::from_csr(a);
             let reference = multiply(&ta, &ta, &Config::default(), &MemTracker::new()).unwrap();
-            for scheduling in [
-                crate::Scheduling::PerTile,
-                crate::Scheduling::PerTileRow,
-                crate::Scheduling::Binned,
-                crate::Scheduling::Auto,
-            ] {
-                for pair_reuse in [true, false] {
-                    let cfg = Config {
-                        scheduling,
-                        pair_reuse,
-                        ..Config::default()
-                    };
-                    let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
-                    assert_eq!(
-                        reference.c, out.c,
-                        "{name}: {scheduling:?}/pair_reuse={pair_reuse} must agree bitwise"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn pair_buffer_matches_recomputed_pairs() {
-        let a = random_csr(120, 5, 29);
-        let ta = TileMatrix::from_csr(&a);
-        let out = multiply(&ta, &ta, &Config::default(), &MemTracker::new()).unwrap();
-        let buf = out.pair_buffer.expect("pair_reuse is on by default");
-        assert_eq!(buf.tile_count(), out.c.tile_count());
-        let b_cols = ta.col_index();
-        let mut scratch = Vec::new();
-        let mut pairs = Vec::new();
-        let mut decoded = Vec::new();
-        for ti in 0..out.c.tile_m {
-            for t in out.c.tile_ptr[ti]..out.c.tile_ptr[ti + 1] {
-                let tj = out.c.tile_colidx[t] as usize;
-                matched_pairs(
-                    &ta,
-                    &b_cols,
-                    ti,
-                    tj,
-                    crate::IntersectionKind::BinarySearch,
-                    &mut scratch,
-                    &mut pairs,
+            for threads in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let out = pool
+                    .install(|| multiply(&ta, &ta, &Config::default(), &MemTracker::new()))
+                    .unwrap();
+                assert_eq!(
+                    reference.c, out.c,
+                    "{name}: {threads} workers must agree bitwise"
                 );
-                let (_, b_ids) = b_cols.col(tj);
-                buf.decode_tile(t, ta.tile_ptr[ti] as u32, b_ids, &mut decoded);
-                assert_eq!(decoded, pairs, "tile {t}");
             }
         }
-    }
-
-    #[test]
-    fn pair_reuse_off_returns_no_buffer() {
-        let a = random_csr(64, 4, 5);
-        let ta = TileMatrix::from_csr(&a);
-        let cfg = Config {
-            pair_reuse: false,
-            ..Config::default()
-        };
-        let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
-        assert!(out.pair_buffer.is_none());
     }
 
     #[test]
     fn tracker_returns_to_zero_after_multiply() {
         let a = random_csr(120, 5, 33);
         let ta = TileMatrix::from_csr(&a);
-        for scheduling in [
-            crate::Scheduling::PerTile,
-            crate::Scheduling::PerTileRow,
-            crate::Scheduling::Binned,
-            crate::Scheduling::Auto,
-        ] {
-            for pair_reuse in [true, false] {
-                let cfg = Config {
-                    scheduling,
-                    pair_reuse,
-                    ..Config::default()
-                };
-                let tracker = MemTracker::new();
-                let out = multiply(&ta, &ta, &cfg, &tracker).unwrap();
-                assert!(out.peak_bytes > 0);
-                assert_eq!(
-                    tracker.current_bytes(),
-                    0,
-                    "unbalanced alloc/free for {cfg:?}"
-                );
-            }
-        }
+        let tracker = MemTracker::new();
+        let out = multiply(&ta, &ta, &Config::default(), &tracker).unwrap();
+        assert!(out.peak_bytes > 0);
+        assert_eq!(tracker.current_bytes(), 0, "unbalanced alloc/free");
     }
 
     #[test]
@@ -1165,18 +716,12 @@ mod tests {
             crate::IntersectionKind::Bitmap,
             crate::IntersectionKind::Adaptive,
         ] {
-            for pair_reuse in [true, false] {
-                let cfg = Config {
-                    intersection,
-                    pair_reuse,
-                    ..Config::default()
-                };
-                let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
-                assert_eq!(
-                    reference.c, out.c,
-                    "{intersection:?}/pair_reuse={pair_reuse} must agree bitwise"
-                );
-            }
+            let cfg = Config {
+                intersection,
+                ..Config::default()
+            };
+            let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
+            assert_eq!(reference.c, out.c, "{intersection:?} must agree bitwise");
         }
     }
 
@@ -1219,32 +764,6 @@ mod tests {
         assert_eq!(pool.created(), created_after_first, "no new arenas");
         assert_eq!(pool.bytes(), warmed_bytes, "no scratch growth in reuse");
         assert_eq!(tracker.current_bytes(), 0);
-    }
-
-    #[test]
-    fn heavy_first_order_is_a_permutation_heaviest_leading() {
-        let keys = [0usize, 3, 100, 2, 7, 0];
-        let bins = bin_rows_by(keys.len(), 8, |t| keys[t]);
-        let order = heavy_first(&bins);
-        let mut sorted = order.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..keys.len() as u32).collect::<Vec<_>>());
-        assert_eq!(order[0], 2, "the heaviest tile must be dispatched first");
-    }
-
-    #[test]
-    fn dealt_order_stays_a_permutation() {
-        let order: Vec<u32> = (0..97).rev().collect();
-        for ways in [1usize, 2, 7, 96, 97, 200] {
-            let dealt = deal(&order, ways);
-            let mut sorted = dealt.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, (0..97).collect::<Vec<_>>(), "ways={ways}");
-        }
-        // Each bucket leads with the heaviest tile it was dealt.
-        let dealt = deal(&order, 4);
-        assert_eq!(dealt[0], order[0]);
-        assert!(deal(&[], 4).is_empty());
     }
 
     #[test]

@@ -19,119 +19,6 @@ use crate::intersect::{
 };
 use tsg_matrix::{ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
 
-/// Escape word of the packed pair encoding: the next four words carry the
-/// absolute `(pos_a, pos_b)` positions (lo/hi halves). Unreachable as a
-/// delta word because deltas are capped below 255 (high byte ≤ 254).
-pub const PAIR_ESCAPE: u16 = u16::MAX;
-
-/// The matched pairs of every output tile, delta-coded into packed `u16`
-/// words: tile `t` owns `words[offsets[t]..offsets[t + 1]]`.
-///
-/// Step 2 persists this when [`crate::Config::pair_reuse`] is on, so step 3
-/// reads the lists back instead of re-running the tile-row/tile-column set
-/// intersection (the paper's kernels recompute it; see DESIGN.md §7).
-///
-/// What is stored are the intersection's *list positions* `(pos_a, pos_b)`,
-/// not flat tile ids: both positions rise strictly within a tile, so
-/// successive pairs delta-code into a single word `(da << 8) | db` whenever
-/// both deltas fit a byte (the overwhelmingly common case — ≈2 bytes per
-/// pair against 8 for the flat form). Rare wide deltas spill to a
-/// [`PAIR_ESCAPE`] word plus four absolute half-words.
-/// [`PairBuffer::decode_tile`] re-derives the flat ids from the tile-row
-/// base and the tile-column id list, exactly as [`matched_pairs`] does.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PairBuffer {
-    /// Per-tile *word* offsets into `words`, length `num_tiles + 1`.
-    pub offsets: Vec<u32>,
-    /// Packed delta words, grouped per output tile.
-    pub words: Vec<u16>,
-}
-
-impl PairBuffer {
-    /// The packed words of output tile `t`.
-    pub fn tile_words(&self, t: usize) -> &[u16] {
-        &self.words[self.offsets[t] as usize..self.offsets[t + 1] as usize]
-    }
-
-    /// Number of output tiles covered.
-    pub fn tile_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
-    }
-
-    /// Decodes tile `t` back to list positions `(pos_a, pos_b)`.
-    pub fn decode_positions(&self, t: usize, out: &mut Vec<MatchedPair>) {
-        out.clear();
-        decode_words(self.tile_words(t), |pa, pb| out.push((pa, pb)));
-    }
-
-    /// Decodes tile `t` to flat `(a_tile_id, b_tile_id)` pairs (cleared
-    /// first): `a_base` is `a.tile_ptr[ti]` and `b_ids` the tile-id list of
-    /// `B`'s tile column `tj` — the same translation [`matched_pairs`]
-    /// applies.
-    pub fn decode_tile(&self, t: usize, a_base: u32, b_ids: &[u32], out: &mut Vec<(u32, u32)>) {
-        out.clear();
-        decode_words(self.tile_words(t), |pa, pb| {
-            out.push((a_base + pa, b_ids[pb as usize]));
-        });
-    }
-
-    /// Total number of pairs stored across every tile. Escape groups are
-    /// self-delimiting (five words), so a linear walk suffices.
-    pub fn pair_count(&self) -> usize {
-        let mut n = 0usize;
-        let mut i = 0usize;
-        while i < self.words.len() {
-            i += if self.words[i] == PAIR_ESCAPE { 5 } else { 1 };
-            n += 1;
-        }
-        n
-    }
-
-    /// Tracked size of the buffer in bytes.
-    pub fn bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u16>()
-            + self.offsets.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Appends the packed encoding of one tile's position pairs (strictly
-/// ascending in both components) to `out`.
-pub fn encode_pairs(pairs: &[MatchedPair], out: &mut Vec<u16>) {
-    let (mut prev_a, mut prev_b) = (0u32, 0u32);
-    for &(pa, pb) in pairs {
-        let (da, db) = (pa - prev_a, pb - prev_b);
-        if da < 255 && db < 255 {
-            out.push(((da as u16) << 8) | db as u16);
-        } else {
-            out.push(PAIR_ESCAPE);
-            out.push(pa as u16);
-            out.push((pa >> 16) as u16);
-            out.push(pb as u16);
-            out.push((pb >> 16) as u16);
-        }
-        (prev_a, prev_b) = (pa, pb);
-    }
-}
-
-/// Walks one tile's packed words, yielding each `(pos_a, pos_b)`.
-fn decode_words(words: &[u16], mut emit: impl FnMut(u32, u32)) {
-    let (mut pa, mut pb) = (0u32, 0u32);
-    let mut i = 0usize;
-    while i < words.len() {
-        let w = words[i];
-        if w == PAIR_ESCAPE {
-            pa = words[i + 1] as u32 | (words[i + 2] as u32) << 16;
-            pb = words[i + 3] as u32 | (words[i + 4] as u32) << 16;
-            i += 5;
-        } else {
-            pa += (w >> 8) as u32;
-            pb += (w & 0xFF) as u32;
-            i += 1;
-        }
-        emit(pa, pb);
-    }
-}
-
 /// The per-tile symbolic result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TileSymbolic {
@@ -167,8 +54,7 @@ pub fn matched_pairs<T: Scalar>(
 /// `Adaptive` through the cost model, `Bitmap` degrading to binary search
 /// when the sidecars are absent — and the resolved concrete kind is
 /// returned for the chosen-kernel histogram. `scratch` is left holding the
-/// list-position pairs (what [`encode_pairs`] packs); `pairs` gets the
-/// translated flat tile ids.
+/// list-position pairs; `pairs` gets the translated flat tile ids.
 #[allow(clippy::too_many_arguments)]
 pub fn matched_pairs_with<T: Scalar>(
     a: &TileMatrix<T>,
@@ -410,69 +296,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn packed_pairs_round_trip_with_and_without_escapes() {
-        // Tight deltas, a wide pos_a jump, a wide pos_b jump, and a pair
-        // beyond u16 range — all must survive the escape path.
-        let pairs: Vec<MatchedPair> = vec![
-            (0, 0),
-            (1, 3),
-            (254, 4),   // da = 253: still a single word
-            (510, 5),   // da = 256: escape
-            (511, 300), // db = 295: escape
-            (80_000, 70_000),
-            (80_001, 70_001),
-        ];
-        let mut words = Vec::new();
-        encode_pairs(&pairs, &mut words);
-        // 4 single words + 3 escapes of 5 words each.
-        assert_eq!(words.len(), 4 + 3 * 5);
-        let buf = PairBuffer {
-            offsets: vec![0, words.len() as u32],
-            words,
-        };
-        let mut decoded = vec![(9, 9)];
-        buf.decode_positions(0, &mut decoded);
-        assert_eq!(decoded, pairs);
-        assert_eq!(buf.tile_count(), 1);
-        assert_eq!(buf.bytes(), buf.words.len() * 2 + 2 * 4);
-    }
-
-    #[test]
-    fn decode_tile_translates_like_matched_pairs() {
-        let a = tiled(&[(0, 0), (0, 16), (16, 16)]);
-        let b = tiled(&[(0, 16), (16, 16)]);
-        let b_cols = b.col_index();
-        let (mut scratch, mut flat) = (Vec::new(), Vec::new());
-        matched_pairs(
-            &a,
-            &b_cols,
-            0,
-            1,
-            IntersectionKind::BinarySearch,
-            &mut scratch,
-            &mut flat,
-        );
-        // Pack the positions, then decode with the same base/id context.
-        let mut words = Vec::new();
-        encode_pairs(&scratch, &mut words);
-        let buf = PairBuffer {
-            offsets: vec![0, words.len() as u32],
-            words,
-        };
-        let mut decoded = Vec::new();
-        let (_, b_ids) = b_cols.col(1);
-        buf.decode_tile(0, a.tile_ptr[0] as u32, b_ids, &mut decoded);
-        assert_eq!(decoded, flat);
-    }
-
-    #[test]
-    fn dense_delta_streams_pack_to_one_word_per_pair() {
-        let pairs: Vec<MatchedPair> = (0..1000u32).map(|i| (i, i)).collect();
-        let mut words = Vec::new();
-        encode_pairs(&pairs, &mut words);
-        assert_eq!(words.len(), pairs.len());
     }
 }

@@ -8,7 +8,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use tilespgemm_core::step2::{encode_pairs, matched_pairs_with, symbolic_tile, PairBuffer};
+use tilespgemm_core::step2::{matched_pairs_with, symbolic_tile};
 use tilespgemm_core::step3::{numeric_tile_dense, numeric_tile_sparse};
 use tilespgemm_core::IntersectionKind;
 use tsg_matrix::{Coo, ListBitmaps, TileMatrix};
@@ -64,17 +64,15 @@ fn hot_pass(
     b: &TileMatrix<f64>,
     b_cols: &tsg_matrix::TileColIndex,
     bitmaps: (&ListBitmaps, &ListBitmaps),
-    buf: &PairBuffer,
     s: &mut Scratch,
     vals: &mut [f64],
     tnnz: usize,
 ) -> f64 {
     let mut checksum = 0.0;
-    let mut t = 0usize;
     for ti in 0..a.tile_m {
         for tj in 0..b.tile_n {
             // Step 2: adaptive intersection + symbolic mask-OR, staged
-            // through the arena's pair lists and packed-word scratch.
+            // through the arena's pair lists.
             matched_pairs_with(
                 a,
                 b_cols,
@@ -86,16 +84,21 @@ fn hot_pass(
                 &mut s.id_pairs,
             );
             let sym = symbolic_tile(a, b, &s.id_pairs);
-            s.words.clear();
-            encode_pairs(&s.pos_pairs, &mut s.words);
             if s.id_pairs.is_empty() {
                 continue;
             }
-            // Step 3 over the persisted pair buffer: decode, then both
-            // numeric kernels into the pre-sized value window.
-            let (_, b_ids) = b_cols.col(tj);
-            buf.decode_tile(t, a.tile_ptr[ti] as u32, b_ids, &mut s.id_pairs);
-            t += 1;
+            // Step 3 repeats the intersection, then runs both numeric
+            // kernels into the pre-sized value window.
+            matched_pairs_with(
+                a,
+                b_cols,
+                ti,
+                tj,
+                IntersectionKind::Adaptive,
+                Some(bitmaps),
+                &mut s.pos_pairs,
+                &mut s.id_pairs,
+            );
             let window = &mut vals[..sym.nnz];
             window.fill(0.0);
             if sym.nnz > tnnz {
@@ -117,30 +120,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
     let a_maps = ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, a.tile_n);
     let b_maps = ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, b.tile_m);
 
-    // A pair buffer covering every non-empty tile pair, as step 2 persists.
-    let (mut pos, mut ids) = (Vec::new(), Vec::new());
-    let (mut words, mut offsets) = (Vec::new(), vec![0u32]);
-    for ti in 0..a.tile_m {
-        for tj in 0..b.tile_n {
-            matched_pairs_with(
-                &a,
-                &b_cols,
-                ti,
-                tj,
-                IntersectionKind::Adaptive,
-                Some((&a_maps, &b_maps)),
-                &mut pos,
-                &mut ids,
-            );
-            if ids.is_empty() {
-                continue;
-            }
-            encode_pairs(&pos, &mut words);
-            offsets.push(words.len() as u32);
-        }
-    }
-    let buf = PairBuffer { offsets, words };
-
     let pool = ScratchPool::new();
     let mut guard = pool.checkout();
     let mut vals = vec![0.0f64; 256];
@@ -151,7 +130,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
         &b,
         &b_cols,
         (&a_maps, &b_maps),
-        &buf,
         &mut guard,
         &mut vals,
         192,
@@ -164,7 +142,6 @@ fn steady_state_hot_path_performs_zero_allocations() {
         &b,
         &b_cols,
         (&a_maps, &b_maps),
-        &buf,
         &mut guard,
         &mut vals,
         192,

@@ -197,8 +197,6 @@ impl OpSpec {
 pub struct JobSpec {
     /// The operation to evaluate.
     pub op: OpSpec,
-    /// Pipeline configuration override; `None` uses the engine's base.
-    pub config: Option<Config>,
     /// Queue-wait deadline override; `None` uses the engine default.
     pub timeout: Option<Duration>,
     /// Skip the synchronous estimate-vs-budget rejection. Set by schedulers
@@ -222,7 +220,6 @@ impl JobSpec {
     pub fn of(op: OpSpec) -> Self {
         JobSpec {
             op,
-            config: None,
             timeout: None,
             admit_over_budget: false,
         }
@@ -270,12 +267,6 @@ impl JobSpec {
             },
             other @ OpSpec::Add { .. } => other,
         };
-        self
-    }
-
-    /// Overrides the pipeline configuration.
-    pub fn config(mut self, config: Config) -> Self {
-        self.config = Some(config);
         self
     }
 
@@ -1023,10 +1014,10 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         recorder.span_exit(span);
         out
     };
-    let mut config = job.spec.config.unwrap_or(shared.cfg.base_config);
-    // Thread the sampled admission estimate down as allocation hints, so
-    // the pipeline pre-sizes its pair staging and scratch arenas to the
-    // measured product. Explicit job configs keep their own hints if set.
+    // Every job runs the engine's base configuration, with the sampled
+    // admission estimate threaded down as hints (the dense-tile threshold
+    // reads them). A base config that already carries hints keeps them.
+    let mut config = shared.cfg.base_config;
     if config.est_hints.is_none() {
         if let Some(s) = job.estimate.sample {
             config.est_hints = Some(tilespgemm_core::EstHints {

@@ -2,17 +2,16 @@
 //!
 //! The engine predicts, before running a job, roughly how many flops the
 //! product costs and how many device bytes it will touch, in the same spirit
-//! as spECK's lightweight pre-analysis (and the per-tile work estimate the
-//! pipeline's `Scheduling::Binned` mode bins by): cheap to compute, accurate
-//! enough to steer scheduling, and explicitly *not* an upper bound. Jobs
+//! as spECK's lightweight pre-analysis: cheap to compute, accurate enough to
+//! steer scheduling, and explicitly *not* an upper bound. Jobs
 //! whose prediction already exceeds the device budget are rejected up front;
 //! jobs the prediction lets through can still trip the [`MemTracker`] budget
 //! mid-flight (the estimate ignores most step-2 temporaries and assumes a
 //! modest output compression factor), which surfaces as an `out_of_memory`
 //! job failure — the engine analogue of the paper's Figure-7 "0.00" bars.
-//! Two step-2/3 terms large enough to matter are modelled explicitly: the
-//! delta-packed matched-pair buffer (~2 bytes per surviving pair) and the
-//! per-worker scratch arenas the pipeline reserves.
+//! Two step-2/3 terms large enough to matter are modelled explicitly: a
+//! per-surviving-pair term (~2 bytes per pair) and the per-worker scratch
+//! arenas the pipeline reserves.
 //!
 //! When both operand structures are on hand the engine now prefers the
 //! *sampled* estimators ([`estimate_job_sampled`], [`estimate_tiled_sampled`])
@@ -179,10 +178,12 @@ fn assemble_product(
     // the same per-nonzero constant (outputs are at least as clustered as
     // the estimate assumes).
     //
-    // Pair buffer (pair reuse is the default): each matched tile pair packs
-    // to ~one u16 delta word, and a matched pair covers on the order of
-    // TILE_AREA intermediate products on clustered inputs; the offsets array
-    // adds 4 bytes per output tile (bounded by output nonzeros / TILE_DIM).
+    // Per-pair term: ~2 bytes per matched tile pair (a matched pair covers
+    // on the order of TILE_AREA intermediate products on clustered inputs)
+    // plus 4 bytes per output tile (bounded by output nonzeros / TILE_DIM).
+    // Calibrated when step 2 still persisted its pairs for step 3; steps 2
+    // and 3 now recompute them, so the real peak is lower and the estimate
+    // stays above it.
     let est_pairs = (products as usize / TILE_AREA).max(1);
     let est_tiles_c = est_nnz_c.div_ceil(TILE_DIM).max(1);
     let pair_bytes = est_pairs * 2 + (est_tiles_c + 1) * 4;
@@ -211,8 +212,10 @@ fn assemble_product(
 /// * per output tile (72 B): the tiled form's per-tile overhead (~60 B of
 ///   `rowPtr`/`mask`/`tileColIdx`/`tileNnz`) plus step-2 mask scratch and
 ///   the per-tile count arrays;
-/// * per surviving pair (10 B): the delta-packed pair buffer plus the
-///   step-1 tile-pair lists.
+/// * per surviving pair (10 B): the step-1 tile-pair lists plus a margin
+///   calibrated when step 2 still persisted its pairs for step 3. Steps 2
+///   and 3 now recompute them, so the measured peak is lower and the
+///   estimate stays above it.
 const SAMPLED_NNZ_BYTES: usize = 16;
 const SAMPLED_TILE_BYTES: usize = 72;
 const SAMPLED_PAIR_BYTES: usize = 10;

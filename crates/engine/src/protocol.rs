@@ -38,11 +38,14 @@
 //! `frame_too_large` error code without being parsed; the session keeps
 //! serving subsequent lines.
 //!
-//! `multiply` accepts optional `"scheduling"` (`"per-tile"`, `"per-tile-row"`,
-//! `"binned"`), `"pair_reuse"` (bool), and `"timeout_ms"` overrides, plus
+//! `multiply` accepts an optional `"timeout_ms"` override, plus
 //! `"keep":true` (v2) to register the product as an operand: the reply then
 //! carries its handle as `"c":"m…"`. Handles are content hashes, so equal
-//! `"c"` values prove bitwise-identical products.
+//! `"c"` values prove bitwise-identical products. Every job runs the
+//! engine's base pipeline configuration: there are no per-job pipeline
+//! overrides, and the retired override fields (DESIGN.md §8) are ignored
+//! like any other unknown key — every value they took produced the same
+//! bits.
 //!
 //! v3 adds the op-expression verbs (`mask` on `multiply`, `add`, `chain`,
 //! `power` — DESIGN.md §13) and the `"materialize"` flag on any of them:
@@ -69,7 +72,6 @@ use std::error::Error as _;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use tilespgemm_core::{Config, Scheduling};
 use tsg_matrix::Coo;
 use tsg_runtime::{CollectingRecorder, SpanNode};
 
@@ -387,26 +389,12 @@ impl Session {
         })
     }
 
-    fn job_spec(&self, req: &Value, op: OpSpec) -> Result<JobSpec, ProtocolError> {
+    fn job_spec(req: &Value, op: OpSpec) -> JobSpec {
         let mut spec = JobSpec::of(op);
-        let mut config: Option<Config> = None;
-        if let Some(s) = req.get("scheduling").and_then(Value::as_str) {
-            let scheduling = match s {
-                "per-tile" => Scheduling::PerTile,
-                "per-tile-row" => Scheduling::PerTileRow,
-                "binned" => Scheduling::Binned,
-                _ => return Err(ProtocolError::bad("unknown scheduling")),
-            };
-            config.get_or_insert_with(Config::default).scheduling = scheduling;
-        }
-        if let Some(p) = req.get("pair_reuse").and_then(Value::as_bool) {
-            config.get_or_insert_with(Config::default).pair_reuse = p;
-        }
-        spec.config = config;
         if let Some(ms) = req.get("timeout_ms").and_then(Value::as_u64) {
             spec.timeout = Some(Duration::from_millis(ms));
         }
-        Ok(spec)
+        spec
     }
 
     /// Submits an op-expression job and renders/queues the reply — the
@@ -420,7 +408,7 @@ impl Session {
         op: OpSpec,
         default_materialize: bool,
     ) -> Result<Value, ProtocolError> {
-        let spec = self.job_spec(req, op)?;
+        let spec = Self::job_spec(req, op);
         let mode = KeepMode {
             keep: req.get("keep").and_then(Value::as_bool) == Some(true),
             materialize: req

@@ -10,13 +10,15 @@
 //! first few tiles, and from then on steady-state execution performs zero
 //! heap allocations.
 //!
-//! Accounting: [`ScratchPool::reserve`] pre-grows the pool and charges the
-//! expected footprint to a [`MemTracker`] (with an `arena.grow` failpoint so
-//! tests can force the charge to fail); [`ScratchPool::bytes`] and
-//! [`ScratchPool::high_water_bytes`] let the caller reconcile any growth
-//! beyond the reservation. The pool never frees scratch between multiplies —
-//! reuse is the whole point — so the owner credits the tracker when the
-//! operation that charged it completes.
+//! Accounting: [`ScratchPool::reserve`] pre-grows the pool's pair lists to
+//! a caller-supplied per-tile bound and charges a [`MemTracker`] an amount
+//! fixed by that bound and the slot count alone (with an `arena.grow`
+//! failpoint so tests can force the charge to fail). Realized `Vec`
+//! capacities depend on which worker drained which chunk, so they are never
+//! charged; [`ScratchPool::bytes`] and [`ScratchPool::high_water_bytes`]
+//! report them for diagnostics only. The pool never frees scratch between
+//! multiplies — reuse is the whole point — so the owner credits the tracker
+//! when the operation that charged it completes.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -39,8 +41,6 @@ pub struct Scratch {
     pub pos_pairs: Vec<(u32, u32)>,
     /// Matched `(tile_a, tile_b)` flat tile-id pairs (step 3 input).
     pub id_pairs: Vec<(u32, u32)>,
-    /// Packed `u16` words (pair-buffer encoding scratch).
-    pub words: Vec<u16>,
     /// General index scratch (ranks, offsets).
     pub idx: Vec<u32>,
     /// Per-row column bitmasks of the tile under construction.
@@ -54,7 +54,6 @@ impl Default for Scratch {
         Scratch {
             pos_pairs: Vec::new(),
             id_pairs: Vec::new(),
-            words: Vec::new(),
             idx: Vec::new(),
             masks: [0; MASK_ROWS],
             dense: [0.0; DENSE_SLOTS],
@@ -67,7 +66,6 @@ impl Scratch {
     pub fn reset(&mut self) {
         self.pos_pairs.clear();
         self.id_pairs.clear();
-        self.words.clear();
         self.idx.clear();
         self.masks = [0; MASK_ROWS];
     }
@@ -76,13 +74,21 @@ impl Scratch {
     pub fn heap_bytes(&self) -> usize {
         self.pos_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.id_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.words.capacity() * std::mem::size_of::<u16>()
             + self.idx.capacity() * std::mem::size_of::<u32>()
     }
 
     /// Bytes one `Scratch` occupies regardless of list growth: the struct
     /// itself (inline masks + dense accumulator) boxed on the heap.
     pub const BASE_BYTES: usize = std::mem::size_of::<Scratch>();
+
+    /// Bytes one pair entry costs across both pair lists.
+    pub const PAIR_BYTES: usize = 2 * std::mem::size_of::<(u32, u32)>();
+
+    /// Bytes [`ScratchPool::reserve`] charges per arena whose pair lists are
+    /// reserved to `pairs` entries.
+    pub const fn charge_for(pairs: usize) -> usize {
+        Self::BASE_BYTES + pairs * Self::PAIR_BYTES
+    }
 }
 
 /// A pool of [`Scratch`] arenas shared by the workers of one (or many
@@ -134,15 +140,24 @@ impl ScratchPool {
         self.high_water.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Ensures at least `count` arenas exist, charging the pool's *total*
-    /// current footprint to `tracker` and returning the charged byte count
-    /// (the caller credits it back when the tracked operation completes).
+    /// Ensures at least `count` arenas exist and that every pooled arena's
+    /// pair lists hold `pairs` entries without growing, then charges
+    /// `count × Scratch::charge_for(pairs)` to `tracker` and returns that
+    /// byte count (the caller credits it back when the tracked operation
+    /// completes). The charge depends only on `count` and `pairs` — never on
+    /// realized capacities or on how many arenas earlier runs created — so
+    /// identical operations report identical bytes at any thread count.
     ///
     /// Growth is fallible: the `arena.grow` failpoint (and the tracker's own
     /// budget) can refuse it, in which case nothing is charged and the pool
     /// keeps whatever arenas it already had — warmed scratch is never torn
     /// down by a failed reservation.
-    pub fn reserve(&self, count: usize, tracker: &MemTracker) -> Result<usize, BudgetExceeded> {
+    pub fn reserve(
+        &self,
+        count: usize,
+        pairs: usize,
+        tracker: &MemTracker,
+    ) -> Result<usize, BudgetExceeded> {
         let missing = count.saturating_sub(self.created());
         if missing > 0 {
             // Failpoint `arena.grow`: refuse pool growth before any arena is
@@ -156,15 +171,25 @@ impl ScratchPool {
                 });
             }
         }
-        let charge = self.bytes() + missing * Scratch::BASE_BYTES;
+        let charge = count * Scratch::charge_for(pairs);
         tracker.on_alloc(charge)?;
+        let mut free = self.free.lock();
         if missing > 0 {
-            let mut free = self.free.lock();
-            for _ in 0..missing {
-                free.push(Box::default());
-            }
+            free.extend((0..missing).map(|_| Box::<Scratch>::default()));
             self.created.fetch_add(missing, Ordering::Relaxed);
             self.add_bytes(missing * Scratch::BASE_BYTES);
+        }
+        let mut grown = 0;
+        for s in free.iter_mut() {
+            let before = s.heap_bytes();
+            s.pos_pairs.clear();
+            s.pos_pairs.reserve_exact(pairs);
+            s.id_pairs.clear();
+            s.id_pairs.reserve_exact(pairs);
+            grown += s.heap_bytes() - before;
+        }
+        if grown > 0 {
+            self.add_bytes(grown);
         }
         Ok(charge)
     }
@@ -262,29 +287,50 @@ mod tests {
     fn reserve_creates_and_charges() {
         let tracker = MemTracker::new();
         let pool = ScratchPool::new();
-        let charged = pool.reserve(3, &tracker).unwrap();
+        let charged = pool.reserve(3, 0, &tracker).unwrap();
         assert_eq!(pool.created(), 3);
         assert_eq!(charged, 3 * Scratch::BASE_BYTES);
         assert_eq!(tracker.current_bytes(), charged);
-        // A later reserve charges the (possibly grown) total again.
         tracker.on_free(charged);
-        {
-            let mut s = pool.checkout();
-            s.words.reserve_exact(100);
+        // Reserving pair capacity grows every pooled arena's lists, and the
+        // charge follows the bound, not the realized capacities.
+        let charged2 = pool.reserve(3, 100, &tracker).unwrap();
+        assert_eq!(charged2, 3 * Scratch::charge_for(100));
+        let guards: Vec<_> = (0..3).map(|_| pool.checkout()).collect();
+        for s in &guards {
+            assert!(s.pos_pairs.capacity() >= 100 && s.id_pairs.capacity() >= 100);
         }
-        let charged2 = pool.reserve(3, &tracker).unwrap();
-        assert_eq!(pool.created(), 3);
-        assert_eq!(charged2, pool.bytes());
-        assert!(charged2 > charged);
+        drop(guards);
+        assert!(pool.bytes() >= 3 * Scratch::charge_for(100));
         tracker.on_free(charged2);
         assert_eq!(tracker.current_bytes(), 0);
+    }
+
+    #[test]
+    fn reserve_charge_ignores_realized_growth_and_extra_arenas() {
+        let tracker = MemTracker::new();
+        let pool = ScratchPool::new();
+        pool.reserve(2, 8, &tracker).unwrap();
+        // A worker over-grows an arena, and an earlier, wider run left more
+        // arenas than this reservation asks for: neither changes the charge.
+        {
+            let mut s = pool.checkout();
+            s.id_pairs.reserve_exact(10_000);
+        }
+        pool.reserve(6, 8, &tracker).unwrap();
+        let charged = pool.reserve(2, 8, &tracker).unwrap();
+        assert_eq!(charged, 2 * Scratch::charge_for(8));
+        assert_eq!(
+            tracker.current_bytes(),
+            (2 + 6 + 2) * Scratch::charge_for(8)
+        );
     }
 
     #[test]
     fn reserve_over_budget_fails_cleanly() {
         let tracker = MemTracker::with_budget(1);
         let pool = ScratchPool::new();
-        let err = pool.reserve(2, &tracker).unwrap_err();
+        let err = pool.reserve(2, 4, &tracker).unwrap_err();
         assert_eq!(err.budget, 1);
         assert_eq!(tracker.current_bytes(), 0);
         assert_eq!(pool.created(), 0);

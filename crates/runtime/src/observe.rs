@@ -58,11 +58,6 @@ pub enum Counter {
     BytesAlloc,
     /// Bytes credited back to the device through an attached tracker.
     BytesFreed,
-    /// Tiles dispatched through `Scheduling::Binned`'s work-estimate bins
-    /// (steps 2 and 3 each count their own dispatch).
-    BinnedTiles,
-    /// Non-empty work-estimate buckets observed by binned dispatches.
-    BinsOccupied,
     /// Output tiles whose intersection resolved to the binary-search kernel
     /// (the chosen-kernel histogram of `IntersectionKind::Adaptive`; fixed
     /// kinds also report here so the three picks always sum to the visited
@@ -134,7 +129,7 @@ pub enum Counter {
 
 /// Number of counter slots. Kept in sync with [`Counter`]; new counters are
 /// appended (the enum is `#[non_exhaustive]`).
-pub const COUNTER_COUNT: usize = 31;
+pub const COUNTER_COUNT: usize = 29;
 
 /// Every counter, in slot order, with its snake_case wire name.
 pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
@@ -145,8 +140,6 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::DenseAccPicks, "dense_acc_picks"),
     (Counter::BytesAlloc, "bytes_alloc"),
     (Counter::BytesFreed, "bytes_freed"),
-    (Counter::BinnedTiles, "binned_tiles"),
-    (Counter::BinsOccupied, "bins_occupied"),
     (Counter::IsectBinaryPicks, "isect_binary_picks"),
     (Counter::IsectMergePicks, "isect_merge_picks"),
     (Counter::IsectBitmapPicks, "isect_bitmap_picks"),

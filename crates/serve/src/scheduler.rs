@@ -45,7 +45,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tilespgemm_core::Config;
 use tsg_engine::engine::JobTicket;
 use tsg_engine::{Engine, EngineError, JobReport, JobSpec, MatrixId, OpSpec};
 use tsg_runtime::observe::{Counter, QueueGauge, WaitGauge};
@@ -100,8 +99,6 @@ pub struct SubmitSpec {
     /// `$k` back-reference, so a chain's final link can mask by an earlier
     /// entry's product.
     pub mask: Option<Operand>,
-    /// Pipeline configuration override; `None` uses the engine's base.
-    pub config: Option<Config>,
     /// Total queue-wait deadline (scheduler and engine queues combined).
     pub timeout: Option<Duration>,
     /// Register the product as an operand and report its handle.
@@ -121,7 +118,6 @@ impl SubmitSpec {
             a: Operand::Id(a),
             b: Operand::Id(b),
             mask: None,
-            config: None,
             timeout: None,
             keep: false,
             materialize: true,
@@ -1064,7 +1060,6 @@ fn dispatch(shared: &Arc<Shared>, inner: &mut Inner, sid: u64, est_bytes: usize,
             _ => unreachable!("scan only dispatches runnable heads"),
         });
     let mut spec = JobSpec::of(op_spec(a, b, mask));
-    spec.config = job.spec.config;
     spec.timeout = job
         .spec
         .timeout

@@ -48,7 +48,6 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use tilespgemm_core::{Config, Scheduling};
 use tsg_engine::json::{obj, parse, Value};
 use tsg_engine::protocol::{
     engine_error_response, error_response, report_response, stats_response, versioned, Control,
@@ -331,10 +330,7 @@ impl ServeSession {
             },
             None => None,
         };
-        let (config, timeout) = match parse_overrides(req) {
-            Ok(o) => o,
-            Err(msg) => return error_response("bad_request", &msg, &[]),
-        };
+        let timeout = parse_timeout(req);
         let keep = req.get("keep").and_then(Value::as_bool) == Some(true);
         let materialize = req
             .get("materialize")
@@ -350,7 +346,6 @@ impl ServeSession {
                 },
                 b: operands[j + 1],
                 mask: if j == last { mask } else { None },
-                config,
                 timeout,
                 keep: j == last && keep,
                 materialize: j == last && materialize,
@@ -460,8 +455,7 @@ impl ServeSession {
 }
 
 /// Parses one multiply spec: operands (`"m…"` ids or `"$k"` batch refs,
-/// `"mask"` included) and the engine's scheduling/pair_reuse/timeout/keep/
-/// materialize overrides.
+/// `"mask"` included) and the timeout/keep/materialize options.
 fn parse_spec(req: &Value) -> Result<SubmitSpec, String> {
     let a = parse_operand(req, "a")?;
     let b = parse_operand(req, "b")?;
@@ -469,13 +463,11 @@ fn parse_spec(req: &Value) -> Result<SubmitSpec, String> {
         Some(_) => Some(parse_operand(req, "mask")?),
         None => None,
     };
-    let (config, timeout) = parse_overrides(req)?;
     Ok(SubmitSpec {
         a,
         b,
         mask,
-        config,
-        timeout,
+        timeout: parse_timeout(req),
         keep: req.get("keep").and_then(Value::as_bool) == Some(true),
         materialize: req
             .get("materialize")
@@ -484,27 +476,13 @@ fn parse_spec(req: &Value) -> Result<SubmitSpec, String> {
     })
 }
 
-/// The engine overrides shared by every job-shaped verb.
-fn parse_overrides(req: &Value) -> Result<(Option<Config>, Option<Duration>), String> {
-    let mut config: Option<Config> = None;
-    if let Some(s) = req.get("scheduling").and_then(Value::as_str) {
-        let scheduling = match s {
-            "per-tile" => Scheduling::PerTile,
-            "per-tile-row" => Scheduling::PerTileRow,
-            "binned" => Scheduling::Binned,
-            _ => return Err("unknown scheduling".to_string()),
-        };
-        config.get_or_insert_with(Config::default).scheduling = scheduling;
-    }
-    if let Some(p) = req.get("pair_reuse").and_then(Value::as_bool) {
-        config.get_or_insert_with(Config::default).pair_reuse = p;
-    }
-    Ok((
-        config,
-        req.get("timeout_ms")
-            .and_then(Value::as_u64)
-            .map(Duration::from_millis),
-    ))
+/// The queue-wait deadline override shared by every job-shaped verb. It is
+/// the only per-job override: every job runs the engine's base pipeline
+/// configuration.
+fn parse_timeout(req: &Value) -> Option<Duration> {
+    req.get("timeout_ms")
+        .and_then(Value::as_u64)
+        .map(Duration::from_millis)
 }
 
 fn parse_operand(req: &Value, key: &str) -> Result<Operand, String> {

@@ -128,6 +128,36 @@ fn load_convert_multiply_stats_over_stdin() {
 }
 
 #[test]
+fn retired_pipeline_overrides_are_ignored_over_stdin() {
+    // Clients written against older servers may still send the retired
+    // per-job pipeline overrides. Every value they took produced the same
+    // bits, so the server ignores them like any other unknown key and the
+    // client still gets exactly the product it asked for.
+    let mut serve = Serve::spawn(&["--workers", "2"]);
+    let loaded = serve.request_ok(r#"{"op":"load","gen":"fem-00"}"#);
+    let id = loaded
+        .get("id")
+        .and_then(Value::as_str)
+        .unwrap()
+        .to_string();
+    let plain = serve.request_ok(&format!(
+        r#"{{"op":"multiply","a":"{id}","b":"{id}","keep":true}}"#
+    ));
+    let legacy = serve.request_ok(&format!(
+        r#"{{"op":"multiply","a":"{id}","b":"{id}","keep":true,"scheduling":"binned","pair_reuse":true}}"#
+    ));
+    assert!(plain.get("nnz_c").and_then(Value::as_u64).unwrap() > 0);
+    assert_eq!(
+        legacy.get("nnz_c").and_then(Value::as_u64),
+        plain.get("nnz_c").and_then(Value::as_u64)
+    );
+    // Handles are content hashes: equal handles prove identical bits.
+    let handle = |v: &Value| v.get("c").and_then(Value::as_str).map(str::to_string);
+    assert!(handle(&plain).is_some());
+    assert_eq!(handle(&legacy), handle(&plain));
+}
+
+#[test]
 fn protocol_version_is_stamped_and_gated_over_stdin() {
     let mut serve = Serve::spawn(&[]);
 

@@ -1,13 +1,13 @@
 //! Counter-correctness tests for the observability layer: every counter a
-//! [`CollectingRecorder`] aggregates is checked against ground truth the
-//! pipeline computes independently (the step-1 structure, the persisted
-//! pair buffer, the tracker's byte accounting), and a property test pins
-//! down that recording changes nothing about the numerics.
+//! [`CollectingRecorder`] aggregates is checked against ground truth
+//! computed independently (the step-1 structure, a fresh intersection per
+//! output tile, the tracker's byte accounting), byte accounting is pinned
+//! to be independent of the worker count, and a property test pins down
+//! that recording changes nothing about the numerics.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use tilespgemm::core::Scheduling;
 use tilespgemm::prelude::*;
 
 /// A representative mix: a banded FEM-like pattern, a power-law scatter,
@@ -64,18 +64,34 @@ fn tiles_visited_equals_the_step1_tile_count() {
 }
 
 #[test]
-fn matched_pairs_equal_the_persisted_pair_buffer() {
+fn matched_pairs_equal_the_recomputed_intersections() {
     for (name, ta) in fixtures() {
         let (out, recorder, _ctx) = profiled_square(&ta, Config::default());
-        let buf = out.pair_buffer.as_ref().expect("pair_reuse defaults on");
+        let b_cols = ta.col_index();
+        let (mut scratch, mut pairs) = (Vec::new(), Vec::new());
+        let mut total = 0usize;
+        for ti in 0..out.c.tile_m {
+            for &tj in out.c.tile_row_cols(ti) {
+                tilespgemm::core::step2::matched_pairs(
+                    &ta,
+                    &b_cols,
+                    ti,
+                    tj as usize,
+                    tilespgemm::core::IntersectionKind::BinarySearch,
+                    &mut scratch,
+                    &mut pairs,
+                );
+                total += pairs.len();
+            }
+        }
         assert_eq!(
             recorder.snapshot().get(Counter::MatchedPairs) as usize,
-            buf.pair_count(),
-            "{name}: the counter totals exactly the pairs step 2 persisted"
+            total,
+            "{name}: the counter totals exactly the pairs a fresh intersection finds"
         );
         // The degenerate diagonal makes the bound exact: one pair per tile.
         if name == "identity" {
-            assert_eq!(buf.pair_count(), out.c.tile_count());
+            assert_eq!(total, out.c.tile_count());
         }
     }
 }
@@ -130,29 +146,60 @@ fn byte_counters_reconcile_with_the_tracker() {
 }
 
 #[test]
-fn binned_scheduling_reports_bin_occupancy() {
-    let (_, ta) = fixtures().remove(0);
-    let cfg = Config::builder().scheduling(Scheduling::Binned).build();
-    // A single worker resolves Binned to PerTile (the bins cannot balance
-    // anything there), so pin the counter contract inside a two-worker
-    // pool where the binned dispatch genuinely runs — host-independent.
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(2)
-        .build()
-        .expect("two-worker pool");
-    let (out, recorder, _ctx) = pool.install(|| profiled_square(&ta, cfg));
-    let snap = recorder.snapshot();
-    // Steps 2 and 3 each dispatch the full tile set through the bins.
-    assert_eq!(
-        snap.get(Counter::BinnedTiles) as usize,
-        2 * out.c.tile_count()
-    );
-    let occupied = snap.get(Counter::BinsOccupied);
-    assert!(occupied > 0, "some work bucket is non-empty");
-    assert!(
-        occupied <= 2 * 20,
-        "at most all 20 buckets per binned dispatch"
-    );
+fn byte_accounting_is_identical_across_runs_at_any_worker_count() {
+    // The fixtures plus a skewed R-MAT and small random squares: on inputs
+    // whose per-tile pair counts vary, which worker drains which chunk
+    // changes the realized scratch capacities from run to run.
+    let mut inputs = fixtures();
+    let rmat = tilespgemm::gen::suite::GenSpec::Rmat {
+        scale: 11,
+        edges: 18_000,
+        mild: false,
+        seed: 7,
+    }
+    .build();
+    inputs.push(("rmat", TileMatrix::from_csr(&rmat)));
+    for seed in 0..4 {
+        let er = tilespgemm::gen::random::erdos_renyi(90, 90, 380, seed);
+        inputs.push(("erdos-renyi", TileMatrix::from_csr(&er)));
+    }
+    for (name, ta) in &inputs {
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("explicit worker pool");
+            pool.install(|| {
+                // Two identical multiplies on one warm context, then fresh
+                // contexts: the arena charge depends only on the input and
+                // the slot count, never on which worker grew which buffer.
+                let recorder = Arc::new(CollectingRecorder::new());
+                let ctx = SpGemm::builder().recorder(recorder.clone()).build();
+                let first = ctx.multiply(ta, ta).expect("job 1").peak_bytes;
+                let after_one = recorder.snapshot();
+                let second = ctx.multiply(ta, ta).expect("job 2").peak_bytes;
+                let delta = recorder.snapshot().since(&after_one);
+                assert_eq!(first, second, "{name}/{threads} workers: peak_bytes");
+                assert_eq!(
+                    delta.get(Counter::BytesAlloc),
+                    after_one.get(Counter::BytesAlloc),
+                    "{name}/{threads} workers: BytesAlloc differs between runs"
+                );
+                for _ in 0..3 {
+                    let (out, fresh, _ctx) = profiled_square(ta, Config::default());
+                    assert_eq!(
+                        out.peak_bytes, first,
+                        "{name}/{threads} workers: warm vs fresh pool"
+                    );
+                    assert_eq!(
+                        fresh.snapshot().get(Counter::BytesAlloc),
+                        after_one.get(Counter::BytesAlloc),
+                        "{name}/{threads} workers: fresh BytesAlloc"
+                    );
+                }
+            });
+        }
+    }
 }
 
 #[test]

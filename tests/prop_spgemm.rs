@@ -101,38 +101,6 @@ proptest! {
     }
 
     #[test]
-    fn pair_buffer_equals_recomputed_matched_pairs(a in arb_square(48, 250)) {
-        // The compact pair buffer step 2 persists must hold, tile for tile,
-        // exactly the lists a fresh intersection produces.
-        let ta = TileMatrix::from_csr(&a);
-        let out = tilespgemm::core::multiply(&ta, &ta, &Config::default(), &MemTracker::new())
-            .unwrap();
-        let buf = out.pair_buffer.expect("pair_reuse defaults to on");
-        prop_assert_eq!(buf.tile_count(), out.c.tile_count());
-        let b_cols = ta.col_index();
-        let mut scratch = Vec::new();
-        let mut pairs = Vec::new();
-        let mut decoded = Vec::new();
-        for ti in 0..out.c.tile_m {
-            for t in out.c.tile_ptr[ti]..out.c.tile_ptr[ti + 1] {
-                let tj = out.c.tile_colidx[t] as usize;
-                tilespgemm::core::step2::matched_pairs(
-                    &ta,
-                    &b_cols,
-                    ti,
-                    tj,
-                    tilespgemm::core::IntersectionKind::BinarySearch,
-                    &mut scratch,
-                    &mut pairs,
-                );
-                let (_, b_ids) = b_cols.col(tj);
-                buf.decode_tile(t, ta.tile_ptr[ti] as u32, b_ids, &mut decoded);
-                prop_assert_eq!(&decoded, &pairs, "tile {}", t);
-            }
-        }
-    }
-
-    #[test]
     fn flop_accounting_is_exact(a in arb_square(40, 150)) {
         // spgemm_flops == 2 * Σ_i Σ_{j∈row i} nnz(row j), computed two ways.
         let brute: u64 = (0..a.nrows)
