@@ -111,9 +111,8 @@ fn overhead_record(ta: &TileMatrix<f64>, matrix: &'static str, reps: usize) -> S
     )
 }
 
-/// The step-3 kernel ablation ladder (DESIGN.md §15): forced-scalar, the
-/// vector kernels without the dense-tile promotion, and the full `Auto`
-/// dispatch with the fast path. One record per rung; best-of-`reps` after a
+/// The step-3 kernel ablation ladder (DESIGN.md §15): forced-scalar and the
+/// `Auto` vector dispatch. One record per rung; best-of-`reps` after a
 /// warmup, with a bitwise-identity check against the scalar rung (the
 /// ladder's core contract). Its `"method":"simd_ablation"` keeps
 /// `perf_smoke`'s line-based lookup of the `"method":"tilespgemm"` row from
@@ -219,8 +218,7 @@ fn emit_bench_json() {
             .c;
         for (kernel, policy) in [
             ("scalar", SimdPolicy::ForceScalar),
-            ("simd", SimdPolicy::ForceSimd),
-            ("simd+dense", SimdPolicy::Auto),
+            ("simd", SimdPolicy::Auto),
         ] {
             body.push(format!(
                 "  {}",

@@ -13,10 +13,11 @@
 //!   summation (accumulator policy × `tnnz` threshold, and all five
 //!   baseline methods). Their products are compared against gold under the
 //!   [`ValuePolicy`] after canonicalization.
-//! * **SIMD-dispatch tier** ([`check_simd`]) — every [`SimdPolicy`] against
-//!   the forced-scalar run, *bitwise*, across the plain, masked and chained
-//!   products: the vector kernels are written to preserve the scalar
-//!   per-slot addition order exactly.
+//! * **SIMD-dispatch tier** ([`check_simd`]) — [`SimdPolicy::Auto`] against
+//!   the forced-scalar run, *bitwise*, across the plain (including every
+//!   tile on the dense accumulator), masked and chained products: the
+//!   vector kernels are written to preserve the scalar per-slot addition
+//!   order exactly.
 //!
 //! Every single run uses a fresh [`MemTracker`] and the oracle asserts it
 //! returns to zero bytes — a leak in any variant is a failure even when the
@@ -31,7 +32,7 @@ use tsg_baselines::{run_method, MethodKind};
 use tsg_matrix::{ops, Coo, Csr, TileMatrix};
 use tsg_runtime::{CollectingRecorder, MemTracker};
 
-use crate::compare::{compare_csr, Mismatch, ValuePolicy};
+use crate::compare::{compare_csr, ulp_distance, Mismatch, ValuePolicy};
 
 /// A passed oracle run.
 #[derive(Debug, Clone, Copy)]
@@ -233,10 +234,69 @@ fn pattern_mask(pattern: &Csr<f64>, keep: impl Fn(u32, u32) -> bool) -> Csr<f64>
     coo.to_csr()
 }
 
-/// Checks the structural-mask kernel (`C⟨M⟩ = A·B`) against the composed
+/// Checks that `got` stores exactly the entries of `full` at positions
+/// `mask` stores — explicit zeros included — with bit-identical values.
+fn bitwise_restriction(
+    variant: &str,
+    full: &Csr<f64>,
+    mask: &Csr<f64>,
+    got: &Csr<f64>,
+) -> Result<(), OracleFailure> {
+    for row in 0..full.nrows {
+        let (mcols, _) = mask.row(row);
+        let (cols, vals) = full.row(row);
+        let want: Vec<(u32, u64)> = cols
+            .iter()
+            .zip(vals)
+            .filter(|(c, _)| mcols.binary_search(c).is_ok())
+            .map(|(&c, v)| (c, v.to_bits()))
+            .collect();
+        let (gcols, gvals) = got.row(row);
+        let have: Vec<(u32, u64)> = gcols
+            .iter()
+            .zip(gvals)
+            .map(|(&c, v)| (c, v.to_bits()))
+            .collect();
+        if have.len() != want.len() {
+            return Err(fail(
+                variant,
+                Mismatch::RowNnz {
+                    row,
+                    got: have.len(),
+                    want: want.len(),
+                },
+            ));
+        }
+        if let Some((&(gc, gv), &(wc, wv))) = have.iter().zip(&want).find(|(h, w)| h != w) {
+            let mismatch = if gc != wc {
+                Mismatch::Pattern {
+                    row,
+                    got: gc,
+                    want: wc,
+                }
+            } else {
+                let (got, want) = (f64::from_bits(gv), f64::from_bits(wv));
+                Mismatch::Value {
+                    row,
+                    col: gc,
+                    got,
+                    want,
+                    ulps: ulp_distance(got, want),
+                }
+            };
+            return Err(fail(variant, mismatch));
+        }
+    }
+    Ok(())
+}
+
+/// Checks the structural-mask product (`C⟨M⟩ = A·B`) against the composed
 /// gold `hadamard(reference(a, b), mask)` for a full mask (every product
 /// entry survives) and a checkerboard-thinned one (roughly half pruned —
-/// exercises both tile-level and in-tile rejection). Returns how many
+/// exercises both tile-level and in-tile rejection). Each masked product
+/// must also hold the unmasked tiled product's entries at the mask
+/// positions, bit for bit: sending mask-trimmed tiles to the dense
+/// accumulator must not change any slot's summation order. Returns how many
 /// variants were checked.
 pub fn check_masked(
     a: &Csr<f64>,
@@ -246,6 +306,13 @@ pub fn check_masked(
     let gold = reference_spgemm(a, b);
     let ta = TileMatrix::from_csr(a);
     let tb = TileMatrix::from_csr(b);
+    let full = {
+        let tracker = MemTracker::new();
+        let out = multiply(&ta, &tb, &Config::default(), &tracker)
+            .map_err(|e| run_detail("masked[unmasked-pivot]", e))?;
+        balanced("masked[unmasked-pivot]", &tracker)?;
+        out.c.to_csr()
+    };
     let masks = [
         ("masked[full]", pattern_mask(&gold, |_, _| true)),
         (
@@ -262,6 +329,7 @@ pub fn check_masked(
         balanced(variant, &tracker)?;
         let expected = ops::hadamard(&gold, mask);
         compare_csr(&out.to_csr(), &expected, policy).map_err(|m| fail(*variant, m))?;
+        bitwise_restriction(variant, &full, mask, &out.c.to_csr())?;
         checked += 1;
     }
     Ok(checked)
@@ -356,77 +424,68 @@ pub fn check_chain(
     Ok(checked)
 }
 
-/// Checks the SIMD dispatch axis: every [`SimdPolicy`] must be **bitwise**
+/// Checks the SIMD dispatch axis: [`SimdPolicy::Auto`] must be **bitwise**
 /// identical to the forced-scalar run. The vector kernels preserve the
 /// per-output-slot addition order (separate mul/add roundings, no FMA, lane
 /// blending — see the `tilespgemm_core::simd` module docs), so unlike the
 /// accumulator value tier this axis demands exact equality, and it demands
-/// it across the plain product (under `tnnz` thresholds straddling the
-/// dense-tile promotion), the masked kernel, and a two-link tiled chain.
-/// Returns how many variants were checked.
+/// it across the plain product (under `tnnz` thresholds on both sides of
+/// the paper's 192, and with every tile on the dense accumulator), the
+/// masked product, and a two-link tiled chain. Returns how many variants
+/// were checked.
 pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
-    const POLICIES: [(&str, SimdPolicy); 3] = [
-        ("auto", SimdPolicy::Auto),
-        ("force-simd", SimdPolicy::ForceSimd),
-        ("force-dense-tile", SimdPolicy::ForceDenseTile),
-    ];
-    let not_identical = |variant: String| {
-        fail(
-            variant,
-            Mismatch::Run {
-                detail: "output is not bitwise identical to the forced-scalar run".to_string(),
-            },
-        )
-    };
+    // Runs one product under both policies; `Auto` must reproduce the
+    // scalar pivot's tiled output exactly. Counts both runs.
+    fn auto_matches_scalar(
+        rung: &str,
+        run: impl Fn(&str, Config) -> Result<TileMatrix<f64>, OracleFailure>,
+        mut config: Config,
+    ) -> Result<usize, OracleFailure> {
+        config.simd = SimdPolicy::ForceScalar;
+        let pivot = run(&format!("simd[scalar,{rung}]"), config)?;
+        let variant = format!("simd[auto,{rung}]");
+        config.simd = SimdPolicy::Auto;
+        if run(&variant, config)? != pivot {
+            return Err(fail(
+                variant,
+                Mismatch::Run {
+                    detail: "output is not bitwise identical to the forced-scalar run".to_string(),
+                },
+            ));
+        }
+        Ok(2)
+    }
+    let ta = TileMatrix::from_csr(a);
+    let tb = TileMatrix::from_csr(b);
     let mut checked = 0;
 
-    // Plain product, with the accumulator threshold on both sides of the
-    // dense-tile promotion point so sparse-SIMD, dense-SIMD and the fast
-    // path all get exercised against their scalar references.
+    // Plain product: sparse and dense accumulators at two thresholds, and
+    // every tile through the dense accumulator (the vector micro-kernel's
+    // full coverage).
+    let plain = |variant: &str, cfg: Config| Ok(run_tile(variant, a, b, &cfg)?.c);
     for tnnz in [64usize, 192] {
-        let pivot_cfg = Config::builder()
-            .simd(SimdPolicy::ForceScalar)
-            .tnnz_threshold(tnnz)
-            .build();
-        let pivot = run_tile(&format!("simd[scalar,tnnz={tnnz}]"), a, b, &pivot_cfg)?;
-        checked += 1;
-        for (name, policy) in POLICIES {
-            let variant = format!("simd[{name},tnnz={tnnz}]");
-            let cfg = Config::builder().simd(policy).tnnz_threshold(tnnz).build();
-            let out = run_tile(&variant, a, b, &cfg)?;
-            if out.c != pivot.c {
-                return Err(not_identical(variant));
-            }
-            checked += 1;
-        }
+        let cfg = Config::builder().tnnz_threshold(tnnz).build();
+        checked += auto_matches_scalar(&format!("tnnz={tnnz}"), plain, cfg)?;
     }
+    let always_dense = Config::builder()
+        .accumulator(AccumulatorKind::AlwaysDense)
+        .build();
+    checked += auto_matches_scalar("always-dense", plain, always_dense)?;
 
-    // Masked kernel: the checkerboard mask forces the remap of sparse
-    // kernels to their dense counterparts (products land outside the mask).
+    // Masked product: the checkerboard mask trims tiles, which step 3 sends
+    // to the dense accumulator (products land outside the mask).
     {
         let gold = reference_spgemm(a, b);
         let mask = pattern_mask(&gold, |r, c| (r + c).is_multiple_of(2));
-        let ta = TileMatrix::from_csr(a);
-        let tb = TileMatrix::from_csr(b);
         let tm = TileMatrix::from_csr(&mask);
-        let run = |variant: &str, policy: SimdPolicy| {
+        let masked = |variant: &str, cfg: Config| {
             let tracker = MemTracker::new();
-            let cfg = Config::builder().simd(policy).build();
             let out = multiply_masked(&ta, &tb, &tm, &cfg, &tracker)
                 .map_err(|e| run_detail(variant, e))?;
             balanced(variant, &tracker)?;
-            Ok::<_, OracleFailure>(out)
+            Ok(out.c)
         };
-        let pivot = run("simd[scalar,masked]", SimdPolicy::ForceScalar)?;
-        checked += 1;
-        for (name, policy) in POLICIES {
-            let variant = format!("simd[{name},masked]");
-            let out = run(&variant, policy)?;
-            if out.c != pivot.c {
-                return Err(not_identical(variant));
-            }
-            checked += 1;
-        }
+        checked += auto_matches_scalar("masked", masked, Config::default())?;
     }
 
     // Two-link chain on tiled intermediates: the second link consumes a
@@ -442,28 +501,15 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
                 coo.push(i as u32, ((i + 3) % n) as u32, -0.5);
             }
         }
-        let d = coo.to_csr();
-        let ta = TileMatrix::from_csr(a);
-        let tb = TileMatrix::from_csr(b);
-        let td = TileMatrix::from_csr(&d);
-        let run = |variant: &str, policy: SimdPolicy| {
+        let td = TileMatrix::from_csr(&coo.to_csr());
+        let chain = |variant: &str, cfg: Config| {
             let tracker = MemTracker::new();
-            let cfg = Config::builder().simd(policy).build();
             let cur = multiply(&ta, &tb, &cfg, &tracker).map_err(|e| run_detail(variant, e))?;
             let out = multiply(&cur.c, &td, &cfg, &tracker).map_err(|e| run_detail(variant, e))?;
             balanced(variant, &tracker)?;
-            Ok::<_, OracleFailure>(out)
+            Ok(out.c)
         };
-        let pivot = run("simd[scalar,chain]", SimdPolicy::ForceScalar)?;
-        checked += 1;
-        for (name, policy) in POLICIES {
-            let variant = format!("simd[{name},chain]");
-            let out = run(&variant, policy)?;
-            if out.c != pivot.c {
-                return Err(not_identical(variant));
-            }
-            checked += 1;
-        }
+        checked += auto_matches_scalar("chain", chain, Config::default())?;
     }
     Ok(checked)
 }

@@ -343,10 +343,10 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
 }
 
 /// The `core.simd_dispatch` failpoint forces the whole multiply down the
-/// scalar kernel ladder: the armed run records zero `simd_*`/`dense_tile`
-/// picks while the accumulator-decision counters are untouched, and —
-/// because scalar *is* the reference summation order — the product is
-/// bitwise identical to the unforced run. Disarmed, vector dispatch
+/// scalar kernel ladder: the armed run records zero `simd_*` picks while
+/// the accumulator-decision counters are untouched, and — because scalar
+/// *is* the reference summation order — the product is bitwise identical
+/// to the unforced run. Disarmed, vector dispatch
 /// resumes by itself.
 #[test]
 fn simd_dispatch_failpoint_forces_scalar_and_stays_bitwise_identical() {
@@ -373,9 +373,7 @@ fn simd_dispatch_failpoint_forces_scalar_and_stays_bitwise_identical() {
         "the dispatch site was exercised"
     );
     assert_eq!(
-        forced_snap.get(Counter::SimdSparsePicks)
-            + forced_snap.get(Counter::SimdDensePicks)
-            + forced_snap.get(Counter::DenseTilePicks),
+        forced_snap.get(Counter::SimdSparsePicks) + forced_snap.get(Counter::SimdDensePicks),
         0,
         "the armed run must not touch a vector kernel"
     );

@@ -8,8 +8,9 @@ use tsg_check::{check_pair, corpus, ValuePolicy};
 /// 1 pivot + 4 bitwise (intersection) + 1 recorder
 /// + 12 value-tier (accumulator × threshold) + 5 baseline methods
 /// + 2 masked + 3 add + 2 chain (op-expression axes)
-/// + 16 SIMD-dispatch bitwise (2 tnnz × 4 policies + 4 masked + 4 chain)
-///   = 46.
+/// + 10 SIMD-dispatch bitwise (scalar pivot + auto for 2 tnnz, always-dense,
+///   masked and chain)
+///   = 40.
 #[test]
 fn corpus_cases_pass_and_cover_every_variant() {
     let policy = ValuePolicy::default();
@@ -22,7 +23,7 @@ fn corpus_cases_pass_and_cover_every_variant() {
     ] {
         let (a, b) = corpus::build(name, 0).expect("case exists");
         let report = check_pair(&a, &b, &policy).unwrap_or_else(|f| panic!("{name} failed: {f}"));
-        assert_eq!(report.variants, 46, "{name} covered the full sweep");
+        assert_eq!(report.variants, 40, "{name} covered the full sweep");
     }
 }
 

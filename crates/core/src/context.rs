@@ -138,6 +138,7 @@ impl SpGemm {
         multiply_with_pool(
             a,
             b,
+            None,
             &self.config,
             &self.tracker,
             &*self.recorder,
@@ -197,14 +198,6 @@ impl SpGemmBuilder {
     /// Uses `config` for every multiplication.
     pub fn config(mut self, config: Config) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Overrides the SIMD kernel policy on the current config. Convenience
-    /// for flipping just the dispatch knob around [`SpGemmBuilder::config`];
-    /// every policy produces bit-identical output (see `simd` module docs).
-    pub fn simd(mut self, policy: crate::SimdPolicy) -> Self {
-        self.config.simd = policy;
         self
     }
 

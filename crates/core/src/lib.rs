@@ -91,29 +91,11 @@ pub struct Config {
     pub intersection: IntersectionKind,
     /// Accumulator policy for step 3 (paper: adaptive).
     pub accumulator: AccumulatorKind,
-    /// Sampled-estimator hints (see [`crate::sample`]) an admission layer
-    /// can pass down; the step-3 dense-tile threshold reads them
-    /// ([`simd::dense_tile_threshold`]). Purely a kernel-choice hint: the
-    /// output is bit-identical with or without it.
-    pub est_hints: Option<EstHints>,
     /// Step-3 numeric-kernel policy (see [`crate::simd`]): runtime-detected
-    /// vector kernels plus the dense-tile fast path under `Auto` (default),
-    /// or a pinned path for ablations. Every policy is bit-identical to the
-    /// scalar reference — the tsg-check oracle enforces it.
+    /// vector kernels under `Auto` (default), or the scalar reference under
+    /// `ForceScalar`. Both are bit-identical — the tsg-check oracle enforces
+    /// it.
     pub simd: SimdPolicy,
-}
-
-/// What a sampled pre-pass predicted about the product — the hints
-/// [`Config::est_hints`] carries into the pipeline. All-integer and
-/// `Eq` so `Config` stays comparable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EstHints {
-    /// Predicted output nonzeros (band upper edge — sizing, not truth).
-    pub nnz_c: usize,
-    /// Predicted surviving `(A_ik, B_kj)` tile pairs.
-    pub pairs: usize,
-    /// Predicted non-empty output tiles.
-    pub tiles_c: usize,
 }
 
 impl Default for Config {
@@ -122,7 +104,6 @@ impl Default for Config {
             tnnz_threshold: 192,
             intersection: IntersectionKind::Adaptive,
             accumulator: AccumulatorKind::Adaptive,
-            est_hints: None,
             simd: SimdPolicy::Auto,
         }
     }
@@ -157,12 +138,6 @@ impl ConfigBuilder {
     /// Sets the step-3 accumulator policy.
     pub fn accumulator(mut self, v: AccumulatorKind) -> Self {
         self.config.accumulator = v;
-        self
-    }
-
-    /// Attaches sampled-estimator pre-sizing hints (see [`EstHints`]).
-    pub fn est_hints(mut self, v: Option<EstHints>) -> Self {
-        self.config.est_hints = v;
         self
     }
 

@@ -5,23 +5,21 @@
 //! operation is the masked product — e.g. linear-algebra triangle counting
 //! is `C⟨A⟩ = A·A` followed by a reduction, never materialising the full
 //! square. The tiled format makes masking unusually cheap: `M`'s tile
-//! layout prunes step 1's output pattern, and `M`'s row bitmasks AND into
+//! layout replaces step 1's output pattern, and `M`'s row bitmasks AND into
 //! step 2's symbolic masks, so step 3 touches exactly the surviving
-//! entries.
+//! entries. The main pipeline implements all of it
+//! ([`crate::multiply_with_pool`] with a mask); this module keeps the
+//! free-function entry point.
 
-use crate::intersect::MatchedPair;
-use crate::maskops;
-use crate::simd::{self, Kernel};
-use crate::step2::{matched_pairs, symbolic_tile};
 use crate::{Config, SpGemmError};
-use rayon::prelude::*;
-use tsg_matrix::{Scalar, TileMatrix, TILE_DIM};
-use tsg_runtime::{split_mut_by_offsets, Breakdown, MemTracker, Step};
+use tsg_matrix::{Scalar, TileMatrix};
+use tsg_runtime::observe::NullRecorder;
+use tsg_runtime::{MemTracker, ScratchPool};
 
 /// Computes `C⟨M⟩ = A·B`: the product restricted to the stored pattern of
 /// `mask`. Tiles of the product outside `mask`'s tile layout are never
 /// formed; inside a surviving tile, only positions present in `mask` are
-/// kept.
+/// kept, with values bitwise equal to the unmasked product's.
 ///
 /// Values of `mask` are ignored — only its pattern matters (the GraphBLAS
 /// structural mask).
@@ -32,175 +30,16 @@ pub fn multiply_masked<T: Scalar>(
     config: &Config,
     tracker: &MemTracker,
 ) -> Result<crate::Output<T>, SpGemmError> {
-    if a.ncols != b.nrows {
-        return Err(SpGemmError::ShapeMismatch {
-            a: (a.nrows, a.ncols),
-            b: (b.nrows, b.ncols),
-        });
-    }
-    if (mask.nrows, mask.ncols) != (a.nrows, b.ncols) {
-        return Err(SpGemmError::ShapeMismatch {
-            a: (mask.nrows, mask.ncols),
-            b: (a.nrows, b.ncols),
-        });
-    }
-    let mut breakdown = Breakdown::default();
-    let input_bytes = crate::pipeline::tile_matrix_bytes(a) + crate::pipeline::tile_matrix_bytes(b);
-    tracker.on_alloc(input_bytes)?;
-
-    // Step 1 under a mask degenerates to M's own tile layout: a product
-    // tile can only survive where the mask has a tile. (Tiles of M whose
-    // product is empty simply come out with zero nonzeros, like the
-    // unmasked algorithm's retained empty tiles.)
-    let (c_ptr, c_colidx) = breakdown.timed(Step::Step1, || {
-        (mask.tile_ptr.clone(), mask.tile_colidx.clone())
-    });
-    let num_tiles = c_colidx.len();
-
-    let (b_cols, c_rowidx, mut c_masks, mut c_row_ptr) = breakdown.timed(Step::Alloc, || {
-        let b_cols = b.col_index();
-        let mut c_rowidx = vec![0u32; num_tiles];
-        for ti in 0..mask.tile_m {
-            c_rowidx[c_ptr[ti]..c_ptr[ti + 1]].fill(ti as u32);
-        }
-        (
-            b_cols,
-            c_rowidx,
-            vec![0u16; num_tiles * TILE_DIM],
-            vec![0u8; num_tiles * TILE_DIM],
-        )
-    });
-    let step2_temp_bytes = num_tiles * (4 + TILE_DIM * 3 + 8) + b_cols.rowidx.len() * 16;
-    if let Err(e) = tracker.on_alloc(step2_temp_bytes) {
-        tracker.on_free(input_bytes);
-        return Err(e.into());
-    }
-
-    // Step 2 with the mask ANDed in. The kernel level and dense-tile
-    // threshold are run constants, like the unmasked pipeline's.
-    let simd_level = simd::resolve_level(config.simd);
-    let dense_tile_nnz = simd::dense_tile_threshold(config.tnnz_threshold, config.est_hints);
-    let mut c_counts = vec![0usize; num_tiles];
-    breakdown.timed(Step::Step2, || {
-        c_masks
-            .par_chunks_mut(TILE_DIM)
-            .zip(c_row_ptr.par_chunks_mut(TILE_DIM))
-            .zip(c_counts.par_iter_mut())
-            .enumerate()
-            .for_each_init(
-                || (Vec::<MatchedPair>::new(), Vec::<(u32, u32)>::new()),
-                |(scratch, pairs), (t, ((mask_w, row_ptr_w), count))| {
-                    let ti = c_rowidx[t] as usize;
-                    let tj = c_colidx[t] as usize;
-                    matched_pairs(a, &b_cols, ti, tj, config.intersection, scratch, pairs);
-                    let sym = symbolic_tile(a, b, pairs);
-                    let m_tile = mask.tile(t);
-                    let mut m_masks = [0u16; TILE_DIM];
-                    m_masks.copy_from_slice(m_tile.masks);
-                    let allowed = maskops::and_masks(&sym.masks, &m_masks, simd_level);
-                    let (row_ptr, nnz) = maskops::row_ptr_from_masks(&allowed);
-                    mask_w.copy_from_slice(&allowed);
-                    row_ptr_w.copy_from_slice(&row_ptr);
-                    *count = nnz;
-                },
-            );
-    });
-
-    let mut c_offsets = vec![0usize; num_tiles + 1];
-    let nnz_c = tsg_runtime::exclusive_scan_to(&c_counts, &mut c_offsets);
-    let output_bytes = nnz_c * (2 + std::mem::size_of::<T>());
-    let alloc_res = breakdown.timed(Step::Alloc, || {
-        tracker.on_alloc(output_bytes)?;
-        Ok::<_, SpGemmError>((
-            tracker.timed_alloc(|| vec![0u8; nnz_c]),
-            tracker.timed_alloc(|| vec![0u8; nnz_c]),
-            tracker.timed_alloc(|| vec![T::ZERO; nnz_c]),
-        ))
-    });
-    let (mut c_row_idx, mut c_col_idx, mut c_vals) = match alloc_res {
-        Ok(v) => v,
-        Err(e) => {
-            tracker.on_free(input_bytes + step2_temp_bytes);
-            return Err(e);
-        }
-    };
-
-    // Step 3: numeric, but products whose column is masked out are dropped
-    // by the sparse accumulator's rank addressing — we give it the masked
-    // row masks, so only surviving positions exist. The dense accumulator
-    // computes the full tile then compresses through the masked masks.
-    breakdown.timed(Step::Step3, || {
-        let row_idx_w = split_mut_by_offsets(&mut c_row_idx, &c_offsets);
-        let col_idx_w = split_mut_by_offsets(&mut c_col_idx, &c_offsets);
-        let vals_w = split_mut_by_offsets(&mut c_vals, &c_offsets);
-        row_idx_w
-            .into_par_iter()
-            .zip(col_idx_w)
-            .zip(vals_w)
-            .enumerate()
-            .for_each_init(
-                || (Vec::<MatchedPair>::new(), Vec::<(u32, u32)>::new()),
-                |(scratch, pairs), (t, ((ri_w, ci_w), vals_w))| {
-                    let ti = c_rowidx[t] as usize;
-                    let tj = c_colidx[t] as usize;
-                    let masks = &c_masks[t * TILE_DIM..(t + 1) * TILE_DIM];
-                    simd::fill_indices_fast(masks, ri_w, ci_w, simd_level);
-                    matched_pairs(a, &b_cols, ti, tj, config.intersection, scratch, pairs);
-                    // The sparse path cannot be used directly: products may
-                    // fall outside the masked pattern. Use the dense
-                    // accumulator (vector micro-kernel where the level has
-                    // one) and compress through the masked masks — except
-                    // when the mask kept everything, where the adaptive
-                    // kernel choice applies unchanged.
-                    let full_inside = {
-                        let sym = symbolic_tile(a, b, pairs);
-                        (0..TILE_DIM).all(|r| sym.masks[r] & !masks[r] == 0)
-                    };
-                    let kernel = simd::select_kernel(
-                        config.simd,
-                        simd_level,
-                        vals_w.len(),
-                        config.accumulator,
-                        config.tnnz_threshold,
-                        dense_tile_nnz,
-                    );
-                    let row_ptr = &c_row_ptr[t * TILE_DIM..(t + 1) * TILE_DIM];
-                    let kernel = match kernel {
-                        Kernel::SparseScalar | Kernel::SparseSimd if full_inside => kernel,
-                        Kernel::SparseScalar => Kernel::DenseScalar,
-                        Kernel::SparseSimd => Kernel::DenseSimd,
-                        dense => dense,
-                    };
-                    simd::run_numeric(kernel, simd_level, a, b, pairs, masks, row_ptr, vals_w);
-                },
-            );
-    });
-
-    let c = TileMatrix {
-        nrows: a.nrows,
-        ncols: b.ncols,
-        tile_m: mask.tile_m,
-        tile_n: mask.tile_n,
-        tile_ptr: c_ptr,
-        tile_colidx: c_colidx,
-        tile_nnz: c_offsets,
-        row_ptr: c_row_ptr,
-        row_idx: c_row_idx,
-        col_idx: c_col_idx,
-        vals: c_vals,
-        masks: c_masks,
-    };
-    let peak_bytes = tracker.peak_bytes();
-    // Release everything this product charged — inputs, step-2 temporaries
-    // and the output arrays (handed back to the host) — as the unmasked
-    // pipeline does, so the tracker returns to its pre-call level.
-    tracker.on_free(input_bytes + step2_temp_bytes + output_bytes);
-    Ok(crate::Output {
-        c,
-        breakdown,
-        peak_bytes,
-        conversion: None,
-    })
+    crate::pipeline::multiply_with_pool(
+        a,
+        b,
+        Some(mask),
+        config,
+        tracker,
+        &NullRecorder,
+        0,
+        &ScratchPool::new(),
+    )
 }
 
 #[cfg(test)]

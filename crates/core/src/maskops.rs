@@ -1,5 +1,5 @@
 //! Shared mask algebra for 16×16 tiles — the single source of truth for the
-//! OR/AND/popcount/rank operations that step 2, step 3, the masked kernel,
+//! OR/AND/popcount/rank operations that step 2, step 3, the masked product,
 //! and the bitmap intersection all build on.
 //!
 //! Every helper here is pure integer work, so the SIMD variants (dispatched
@@ -42,7 +42,7 @@ pub fn row_ptr_from_masks(masks: &[u16; TILE_DIM]) -> ([u8; TILE_DIM], usize) {
     (row_ptr, nnz)
 }
 
-/// Elementwise AND of two 16-row mask sets — the masked kernel's pruning
+/// Elementwise AND of two 16-row mask sets — the masked product's pruning
 /// reduction. One 256-bit op on AVX2, two 128-bit ops on NEON.
 #[inline]
 pub fn and_masks(x: &[u16; TILE_DIM], y: &[u16; TILE_DIM], level: SimdLevel) -> [u16; TILE_DIM] {

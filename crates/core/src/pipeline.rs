@@ -4,8 +4,9 @@
 
 use crate::convert::{timed_csr_to_tile, ConversionTiming};
 use crate::intersect::{resolve_kind, IntersectionKind};
+use crate::maskops;
 use crate::simd::{self, Kernel};
-use crate::step1::tile_structure_spgemm;
+use crate::step1::{tile_structure_spgemm, TilePattern};
 use crate::step2::{matched_pairs_with, symbolic_tile};
 use crate::{Config, SpGemmError};
 
@@ -131,10 +132,12 @@ pub fn multiply_with<T: Scalar>(
     job: u64,
 ) -> Result<Output<T>, SpGemmError> {
     let arena = ScratchPool::new();
-    multiply_with_pool(a, b, config, tracker, recorder, job, &arena)
+    multiply_with_pool(a, b, None, config, tracker, recorder, job, &arena)
 }
 
-/// [`multiply_with`] against a caller-owned [`ScratchPool`].
+/// [`multiply_with`] against a caller-owned [`ScratchPool`], optionally
+/// restricted to the stored pattern of `mask` (`C⟨M⟩ = A·B`, the GraphBLAS
+/// structural mask; `M`'s values are ignored).
 ///
 /// Steps 2 and 3 check a [`tsg_runtime::Scratch`] arena out of `arena` once
 /// per task chunk; after the first multiply warms the pool, the per-tile hot
@@ -142,11 +145,20 @@ pub fn multiply_with<T: Scalar>(
 /// to `tracker` for the duration of the call (so `peak_bytes` covers it) as
 /// one fixed amount per executor slot, derived from the per-tile pair bound
 /// step 1 implies — never from realized capacities, so identical inputs
-/// report identical bytes at any thread count.
+/// report identical bytes at a given thread count.
+///
+/// Under a mask, step 1 takes `M`'s tile layout as the output pattern, step
+/// 2 ANDs `M`'s row masks into each tile's symbolic masks, and step 3 runs
+/// every tile the mask trimmed through the dense accumulator: its products
+/// may land outside the trimmed pattern, which the sparse accumulator's
+/// rank addressing cannot express. The per-slot summation order is the
+/// same on both accumulators, so the surviving values are bitwise those of
+/// the unmasked product.
 #[allow(clippy::too_many_arguments)]
 pub fn multiply_with_pool<T: Scalar>(
     a: &TileMatrix<T>,
     b: &TileMatrix<T>,
+    mask: Option<&TileMatrix<T>>,
     config: &Config,
     tracker: &MemTracker,
     recorder: &dyn Recorder,
@@ -158,6 +170,14 @@ pub fn multiply_with_pool<T: Scalar>(
             a: (a.nrows, a.ncols),
             b: (b.nrows, b.ncols),
         });
+    }
+    if let Some(m) = mask {
+        if (m.nrows, m.ncols) != (a.nrows, b.ncols) {
+            return Err(SpGemmError::ShapeMismatch {
+                a: (m.nrows, m.ncols),
+                b: (a.nrows, b.ncols),
+            });
+        }
     }
     let mut breakdown = Breakdown::default();
     let peak_start = tracker.peak_bytes();
@@ -176,16 +196,25 @@ pub fn multiply_with_pool<T: Scalar>(
     }
 
     // ---- Step 1: tile-structure symbolic SpGEMM (Figure 3). ----
+    // Under a mask a product tile can only survive where `M` has a tile, so
+    // `M`'s layout is the output pattern. (Mask tiles whose product is empty
+    // come out with zero nonzeros, like the unmasked step-1 overestimate.)
     let span = recorder.span_enter(job, "step1");
-    let c_pattern = breakdown.timed(Step::Step1, || {
-        tile_structure_spgemm(
+    let c_pattern = breakdown.timed(Step::Step1, || match mask {
+        Some(m) => TilePattern {
+            rows: m.tile_m,
+            cols: m.tile_n,
+            ptr: m.tile_ptr.clone(),
+            idx: m.tile_colidx.clone(),
+        },
+        None => tile_structure_spgemm(
             a.tile_m,
             &a.tile_ptr,
             &a.tile_colidx,
             &b.tile_ptr,
             &b.tile_colidx,
             b.tile_n,
-        )
+        ),
     });
     recorder.span_exit(span);
     let num_tiles = c_pattern.nnz();
@@ -241,7 +270,7 @@ pub fn multiply_with_pool<T: Scalar>(
     let step2_temp_bytes = c_pattern.nnz() * 4
         + b_cols.colptr.len() * 8
         + b_cols.rowidx.len() * 8
-        + num_tiles * (4 + TILE_DIM * 3 + 8)
+        + num_tiles * (4 + TILE_DIM * 3 + 8 + 1)
         + bitmaps_ref.map_or(0, |(am, bm)| am.bytes() + bm.bytes())
         + 8;
     if let Err(e) = tracker.on_alloc(step2_temp_bytes) {
@@ -253,7 +282,7 @@ pub fn multiply_with_pool<T: Scalar>(
     // `for_each_init` dispatch below uses), pair lists pre-grown to the
     // per-tile bound, and charge a fixed amount per slot for the duration
     // of this multiply — so scratch memory shows up in `peak_bytes` every
-    // run, identically at any thread count.
+    // run, identically at a given thread count.
     let arena_slots = rayon::current_num_threads().max(1) * 4;
     let arena_charged = match arena.reserve(arena_slots, max_pairs, tracker) {
         Ok(bytes) => bytes,
@@ -263,10 +292,17 @@ pub fn multiply_with_pool<T: Scalar>(
         }
     };
 
+    // The kernel level is a run constant: resolved once (policy, then the
+    // `core.simd_dispatch` failpoint, then hardware detection), so the
+    // counter replay below re-derives the same per-tile choices.
+    let simd_level = simd::resolve_level(config.simd);
+
     // ---- Step 2: per-tile symbolic (Algorithm 2). ----
     let mut c_counts = vec![0usize; num_tiles];
     // Matched-pair count per tile (one word per tile) — feeds the counters.
     let mut pair_counts = vec![0usize; num_tiles];
+    // Whether the mask removed any position of the tile's product.
+    let mut trimmed = vec![false; num_tiles];
     let span = recorder.span_enter(job, "step2");
     breakdown.timed(Step::Step2, || {
         c_masks
@@ -274,10 +310,11 @@ pub fn multiply_with_pool<T: Scalar>(
             .zip(c_row_ptr.par_chunks_mut(TILE_DIM))
             .zip(c_counts.par_iter_mut())
             .zip(pair_counts.par_iter_mut())
+            .zip(trimmed.par_iter_mut())
             .enumerate()
             .for_each_init(
                 || arena.checkout(),
-                |s, (t, (((mask_w, row_ptr_w), count), pair_count))| {
+                |s, (t, ((((mask_w, row_ptr_w), count), pair_count), trimmed))| {
                     let s = &mut **s;
                     matched_pairs_with(
                         a,
@@ -290,7 +327,15 @@ pub fn multiply_with_pool<T: Scalar>(
                         &mut s.id_pairs,
                     );
                     *pair_count = s.id_pairs.len();
-                    let sym = symbolic_tile(a, b, &s.id_pairs);
+                    let mut sym = symbolic_tile(a, b, &s.id_pairs);
+                    if let Some(m) = mask {
+                        let mut m_masks = [0u16; TILE_DIM];
+                        m_masks.copy_from_slice(m.tile(t).masks);
+                        let allowed = maskops::and_masks(&sym.masks, &m_masks, simd_level);
+                        *trimmed = allowed != sym.masks;
+                        (sym.row_ptr, sym.nnz) = maskops::row_ptr_from_masks(&allowed);
+                        sym.masks = allowed;
+                    }
                     mask_w.copy_from_slice(&sym.masks);
                     row_ptr_w.copy_from_slice(&sym.row_ptr);
                     *count = sym.nnz;
@@ -355,11 +400,12 @@ pub fn multiply_with_pool<T: Scalar>(
     };
 
     // ---- Step 3: numeric (Algorithm 3). ----
-    // The kernel level and dense-tile threshold are run constants: resolved
-    // once (policy, then the `core.simd_dispatch` failpoint, then hardware
-    // detection), so the counter replay below re-derives the same choices.
-    let simd_level = simd::resolve_level(config.simd);
-    let dense_tile_nnz = simd::dense_tile_threshold(config.tnnz_threshold, config.est_hints);
+    // The per-tile kernel: the paper's `tnnz` accumulator rule, with every
+    // mask-trimmed tile on the dense side, at the run's vector level.
+    let kernel_for = |t: usize, nnz: usize| {
+        let dense = trimmed[t] || config.accumulator.use_dense(nnz, config.tnnz_threshold);
+        simd::select_kernel(simd_level, dense)
+    };
     let span = recorder.span_enter(job, "step3");
     breakdown.timed(Step::Step3, || {
         let row_idx_w = split_mut_by_offsets(&mut c_row_idx, &c_offsets);
@@ -390,16 +436,8 @@ pub fn multiply_with_pool<T: Scalar>(
                         &mut s.pos_pairs,
                         &mut s.id_pairs,
                     );
-                    let kernel = simd::select_kernel(
-                        config.simd,
-                        simd_level,
-                        vals_w.len(),
-                        config.accumulator,
-                        config.tnnz_threshold,
-                        dense_tile_nnz,
-                    );
                     simd::run_numeric(
-                        kernel,
+                        kernel_for(t, vals_w.len()),
                         simd_level,
                         a,
                         b,
@@ -415,24 +453,15 @@ pub fn multiply_with_pool<T: Scalar>(
 
     // Step-3 counters: the kernel pick per tile re-derives the exact branch
     // step 3 took (same inputs, same pure selector), and step 3 repeats the
-    // step-2 intersections, so the probe count is charged again.
-    // `sparse + dense` still sums to the visited tiles; the
-    // `simd_*`/`dense_tile` counters histogram which implementation ran
-    // each accumulator shape.
+    // step-2 intersections, so the probe count is charged again. `sparse +
+    // dense` sums to the visited tiles; the `simd_*` counters are the
+    // subsets that ran a vector kernel.
     if enabled {
         recorder.add(Counter::IntersectionProbes, probes);
         let (mut sparse, mut dense) = (0u64, 0u64);
-        let (mut simd_sparse, mut simd_dense, mut dense_tile) = (0u64, 0u64, 0u64);
+        let (mut simd_sparse, mut simd_dense) = (0u64, 0u64);
         for t in 0..num_tiles {
-            let tile_nnz = c_offsets[t + 1] - c_offsets[t];
-            match simd::select_kernel(
-                config.simd,
-                simd_level,
-                tile_nnz,
-                config.accumulator,
-                config.tnnz_threshold,
-                dense_tile_nnz,
-            ) {
+            match kernel_for(t, c_offsets[t + 1] - c_offsets[t]) {
                 Kernel::SparseScalar => sparse += 1,
                 Kernel::DenseScalar => dense += 1,
                 Kernel::SparseSimd => {
@@ -443,36 +472,20 @@ pub fn multiply_with_pool<T: Scalar>(
                     dense += 1;
                     simd_dense += 1;
                 }
-                Kernel::DenseTile => {
-                    // The fast path promotes the *kernel*, not the paper's
-                    // accumulator decision: the legacy sparse/dense counters
-                    // keep recording the threshold rule so they stay
-                    // comparable across SIMD policies.
-                    if config
-                        .accumulator
-                        .use_dense(tile_nnz, config.tnnz_threshold)
-                    {
-                        dense += 1;
-                    } else {
-                        sparse += 1;
-                    }
-                    dense_tile += 1;
-                }
             }
         }
         recorder.add(Counter::SparseAccPicks, sparse);
         recorder.add(Counter::DenseAccPicks, dense);
         recorder.add(Counter::SimdSparsePicks, simd_sparse);
         recorder.add(Counter::SimdDensePicks, simd_dense);
-        recorder.add(Counter::DenseTilePicks, dense_tile);
     }
 
     // Assemble the output structure.
     let c = TileMatrix {
         nrows: a.nrows,
         ncols: b.ncols,
-        tile_m: a.tile_m,
-        tile_n: b.tile_n,
+        tile_m: c_pattern.rows,
+        tile_n: c_pattern.cols,
         tile_ptr: c_pattern.ptr,
         tile_colidx: c_pattern.idx,
         tile_nnz: c_offsets,
@@ -735,6 +748,7 @@ mod tests {
         let first = multiply_with_pool(
             &ta,
             &ta,
+            None,
             &Config::default(),
             &tracker,
             &NullRecorder,
@@ -753,6 +767,7 @@ mod tests {
         let second = multiply_with_pool(
             &ta,
             &ta,
+            None,
             &Config::default(),
             &tracker,
             &NullRecorder,

@@ -31,7 +31,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tilespgemm_core::{multiply_masked, multiply_with_pool, Config, SpGemmError};
+use tilespgemm_core::{multiply_with_pool, Config, SpGemmError};
 use tsg_matrix::{Footprint, TileMatrix};
 use tsg_runtime::observe::{
     est_error_bucket, null_recorder, CollectingRecorder, Counter, MetricsSnapshot, Recorder,
@@ -1014,77 +1014,51 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         recorder.span_exit(span);
         out
     };
-    // Every job runs the engine's base configuration, with the sampled
-    // admission estimate threaded down as hints (the dense-tile threshold
-    // reads them). A base config that already carries hints keeps them.
-    let mut config = shared.cfg.base_config;
-    if config.est_hints.is_none() {
-        if let Some(s) = job.estimate.sample {
-            config.est_hints = Some(tilespgemm_core::EstHints {
-                nnz_c: s.nnz_hi,
-                pairs: s.est_pairs,
-                tiles_c: s.est_tiles_c,
-            });
-        }
-    }
+    // Every job runs the engine's base configuration.
+    let config = shared.cfg.base_config;
+    // Plain and masked multiplies are one pipeline call; the mask is one
+    // more operand, resolved after `a` and `b`.
+    let multiply = |a: MatrixId, b: MatrixId, mask: Option<MatrixId>| -> JobResult {
+        let operands = [Some(a), Some(b), mask]
+            .into_iter()
+            .flatten()
+            .map(&resolve)
+            .collect::<Result<Vec<_>, _>>()?;
+        let hits = operands.iter().filter(|(_, hit)| *hit).count() as u32;
+        let out = pool_for(&shared.cfg.device)
+            .install(|| {
+                multiply_with_pool(
+                    &operands[0].0,
+                    &operands[1].0,
+                    operands.get(2).map(|(m, _)| &**m),
+                    &config,
+                    &shared.device_tracker,
+                    recorder,
+                    job.id,
+                    &shared.arena,
+                )
+            })
+            .map_err(EngineError::SpGemm)?;
+        let exec = exec_start.elapsed();
+        Ok(JobReport {
+            job: job.id,
+            nnz_c: out.c.nnz(),
+            tiles_c: out.c.tile_count(),
+            c: Arc::new(out.c),
+            queue_wait,
+            exec,
+            peak_bytes: out.peak_bytes,
+            cache_hits: hits,
+            conversions: operands.len() as u32 - hits,
+            estimate: job.estimate,
+            breakdown: out.breakdown,
+            links: 1,
+            intermediates: Vec::new(),
+        })
+    };
     let result = match &job.spec.op {
-        OpSpec::Multiply { a, b } => resolve(*a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(*b)?;
-            let out = pool_for(&shared.cfg.device)
-                .install(|| {
-                    multiply_with_pool(
-                        &ta,
-                        &tb,
-                        &config,
-                        &shared.device_tracker,
-                        recorder,
-                        job.id,
-                        &shared.arena,
-                    )
-                })
-                .map_err(EngineError::SpGemm)?;
-            let exec = exec_start.elapsed();
-            Ok(JobReport {
-                job: job.id,
-                nnz_c: out.c.nnz(),
-                tiles_c: out.c.tile_count(),
-                c: Arc::new(out.c),
-                queue_wait,
-                exec,
-                peak_bytes: out.peak_bytes,
-                cache_hits: u32::from(hit_a) + u32::from(hit_b),
-                conversions: u32::from(!hit_a) + u32::from(!hit_b),
-                estimate: job.estimate,
-                breakdown: out.breakdown,
-                links: 1,
-                intermediates: Vec::new(),
-            })
-        }),
-        OpSpec::MaskedMultiply { a, b, mask } => resolve(*a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(*b)?;
-            let (tm, hit_m) = resolve(*mask)?;
-            let span = recorder.span_enter(job.id, "job");
-            let out = pool_for(&shared.cfg.device)
-                .install(|| multiply_masked(&ta, &tb, &tm, &config, &shared.device_tracker));
-            recorder.span_exit(span);
-            let out = out.map_err(EngineError::SpGemm)?;
-            let exec = exec_start.elapsed();
-            Ok(JobReport {
-                job: job.id,
-                nnz_c: out.c.nnz(),
-                tiles_c: out.c.tile_count(),
-                c: Arc::new(out.c),
-                queue_wait,
-                exec,
-                peak_bytes: out.peak_bytes,
-                cache_hits: u32::from(hit_a) + u32::from(hit_b) + u32::from(hit_m),
-                conversions: u32::from(!hit_a) + u32::from(!hit_b) + u32::from(!hit_m),
-                estimate: job.estimate,
-                breakdown: out.breakdown,
-                links: 1,
-                intermediates: Vec::new(),
-            })
-        }),
+        OpSpec::Multiply { a, b } => multiply(*a, *b, None),
+        OpSpec::MaskedMultiply { a, b, mask } => multiply(*a, *b, Some(*mask)),
         OpSpec::Add { alpha, a, beta, b } => resolve(*a).and_then(|(ta, hit_a)| {
             let (tb, hit_b) = resolve(*b)?;
             if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
@@ -1220,7 +1194,7 @@ type TiledHit = (Arc<TileMatrix<f64>>, bool);
 /// intermediate in the tiled format: link `i`'s product feeds link `i+1`
 /// directly as an `Arc`, and is also registered as a resident product
 /// handle (no CSR is derived — see [`Registry::insert_tiled`]). The mask,
-/// if any, applies to the final link via the masked kernel.
+/// if any, applies to the final link only.
 ///
 /// All named operands are pinned in the registry for the duration, so
 /// concurrent cache pressure cannot evict a tiled form between links.
@@ -1268,28 +1242,21 @@ fn run_chain(
             let (tb, hit) = resolve(bid)?;
             cache_hits += u32::from(hit);
             conversions += u32::from(!hit);
-            let out = match (i == last, &tm) {
-                (true, Some(tm)) => {
-                    let span = recorder.span_enter(job.id, "job");
-                    let out = pool_for(&shared.cfg.device)
-                        .install(|| multiply_masked(&cur, &tb, tm, config, &shared.device_tracker));
-                    recorder.span_exit(span);
-                    out.map_err(EngineError::SpGemm)?
-                }
-                _ => pool_for(&shared.cfg.device)
-                    .install(|| {
-                        multiply_with_pool(
-                            &cur,
-                            &tb,
-                            config,
-                            &shared.device_tracker,
-                            recorder,
-                            job.id,
-                            &shared.arena,
-                        )
-                    })
-                    .map_err(EngineError::SpGemm)?,
-            };
+            let link_mask = if i == last { tm.as_deref() } else { None };
+            let out = pool_for(&shared.cfg.device)
+                .install(|| {
+                    multiply_with_pool(
+                        &cur,
+                        &tb,
+                        link_mask,
+                        config,
+                        &shared.device_tracker,
+                        recorder,
+                        job.id,
+                        &shared.arena,
+                    )
+                })
+                .map_err(EngineError::SpGemm)?;
             breakdown.step1 += out.breakdown.step1;
             breakdown.step2 += out.breakdown.step2;
             breakdown.step3 += out.breakdown.step3;

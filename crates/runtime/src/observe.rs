@@ -112,24 +112,18 @@ pub enum Counter {
     /// compression model: sampling disabled, the `engine.estimate_sample`
     /// failpoint, or operands with no materialized structure to sample.
     EstSampleFallback,
-    /// Step-3 tiles run through the SIMD sparse kernel (lane-built rank
-    /// tables). A subset of `sparse_acc_picks`; zero on the scalar path.
+    /// Step-3 tiles run through the vector sparse kernel. A subset of
+    /// `sparse_acc_picks`; zero on the scalar path.
     SimdSparsePicks,
-    /// Step-3 tiles run through the SIMD dense micro-kernel because the
-    /// paper's `tnnz` rule picked the dense accumulator. A subset of
-    /// `dense_acc_picks`; zero on the scalar path.
+    /// Step-3 tiles run through the vector dense micro-kernel (the paper's
+    /// `tnnz` rule picked the dense accumulator, or a mask trimmed the
+    /// tile). A subset of `dense_acc_picks`; zero on the scalar path.
     SimdDensePicks,
-    /// Step-3 tiles promoted to the dense 16×16 micro-kernel by the
-    /// dense-tile fast path (below `tnnz`) or pinned by `ForceDenseTile`.
-    /// The legacy `sparse_acc_picks`/`dense_acc_picks` counters keep
-    /// recording the paper's threshold rule for these tiles, so this
-    /// overlays (rather than partitions) those counts.
-    DenseTilePicks,
 }
 
 /// Number of counter slots. Kept in sync with [`Counter`]; new counters are
 /// appended (the enum is `#[non_exhaustive]`).
-pub const COUNTER_COUNT: usize = 29;
+pub const COUNTER_COUNT: usize = 28;
 
 /// Every counter, in slot order, with its snake_case wire name.
 pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
@@ -161,7 +155,6 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::EstSampleFallback, "est_sample_fallback"),
     (Counter::SimdSparsePicks, "simd_sparse_picks"),
     (Counter::SimdDensePicks, "simd_dense_picks"),
-    (Counter::DenseTilePicks, "dense_tile_picks"),
 ];
 
 /// The five estimator-error buckets in ascending log₂(peak/est) order, so a

@@ -202,6 +202,151 @@ fn byte_accounting_is_identical_across_runs_at_any_worker_count() {
     }
 }
 
+/// A checkerboard-thinned mask over the square's own pattern: about half of
+/// each output tile survives, so most tiles are trimmed and step 3 must run
+/// them on the dense accumulator.
+fn checkerboard_mask(ta: &TileMatrix<f64>) -> TileMatrix<f64> {
+    let full = multiply(ta, ta, &Config::default(), &MemTracker::new())
+        .expect("unmasked square")
+        .c
+        .to_csr();
+    let mut coo = Coo::new(full.nrows, full.ncols);
+    for r in 0..full.nrows {
+        for &c in full.row(r).0 {
+            if (r as u32 + c).is_multiple_of(2) {
+                coo.push(r as u32, c, 1.0);
+            }
+        }
+    }
+    TileMatrix::from_csr(&coo.to_csr())
+}
+
+/// `C⟨M⟩ = A·A` as job 1, profiled into a fresh recorder, on `arena`.
+fn profiled_masked_square(
+    ta: &TileMatrix<f64>,
+    tm: &TileMatrix<f64>,
+    arena: &tilespgemm::runtime::ScratchPool,
+) -> (tilespgemm::core::pipeline::Output<f64>, CollectingRecorder) {
+    let recorder = CollectingRecorder::new();
+    let out = tilespgemm::core::multiply_with_pool(
+        ta,
+        ta,
+        Some(tm),
+        &Config::default(),
+        &MemTracker::new(),
+        &recorder,
+        1,
+        arena,
+    )
+    .expect("masked multiply");
+    (out, recorder)
+}
+
+#[test]
+fn masked_products_report_spans_counters_and_bytes_like_plain_ones() {
+    use tilespgemm::core::step2::{matched_pairs, symbolic_tile};
+    use tilespgemm::runtime::{Scratch, ScratchPool};
+
+    for (name, ta) in fixtures() {
+        let tm = checkerboard_mask(&ta);
+        let (out, recorder) = profiled_masked_square(&ta, &tm, &ScratchPool::new());
+
+        // The masked product runs the main pipeline: the step spans nest
+        // under the job root.
+        let roots = recorder.span_tree(1);
+        let root = roots.last().expect("job root span");
+        assert_eq!(root.name, "job", "{name}");
+        for phase in ["step1", "step2", "step3"] {
+            assert!(root.child(phase).is_some(), "{name}: missing {phase}");
+        }
+
+        // Step 1 is the mask's layout, visited once per tile.
+        let snap = recorder.snapshot();
+        let visited = snap.get(Counter::TilesVisited);
+        assert_eq!(visited as usize, tm.tile_count(), "{name}");
+        assert_eq!(out.c.tile_count(), tm.tile_count(), "{name}");
+
+        // Ground truth for the kernel each tile ran: a fresh intersection
+        // and symbolic pass per tile says whether the mask trimmed it, and
+        // trimmed tiles run on the dense accumulator whatever their size.
+        let b_cols = ta.col_index();
+        let (mut scratch, mut pairs) = (Vec::new(), Vec::new());
+        let (mut want_dense, mut trimmed_tiles) = (0u64, 0usize);
+        for ti in 0..tm.tile_m {
+            for (t, &tj) in tm.tile_row_range(ti).zip(tm.tile_row_cols(ti)) {
+                matched_pairs(
+                    &ta,
+                    &b_cols,
+                    ti,
+                    tj as usize,
+                    tilespgemm::core::IntersectionKind::BinarySearch,
+                    &mut scratch,
+                    &mut pairs,
+                );
+                let sym = symbolic_tile(&ta, &ta, &pairs);
+                let kept: usize = sym
+                    .masks
+                    .iter()
+                    .zip(tm.tile(t).masks)
+                    .map(|(&p, &m)| (p & m).count_ones() as usize)
+                    .sum();
+                let trimmed = kept < sym.nnz;
+                trimmed_tiles += usize::from(trimmed);
+                if trimmed || kept > Config::default().tnnz_threshold {
+                    want_dense += 1;
+                }
+            }
+        }
+        if name != "identity" {
+            assert!(trimmed_tiles > 0, "{name}: the mask must trim some tile");
+        }
+        let (sparse, dense) = (
+            snap.get(Counter::SparseAccPicks),
+            snap.get(Counter::DenseAccPicks),
+        );
+        assert_eq!(sparse + dense, visited, "{name}: picks partition the tiles");
+        assert_eq!(dense, want_dense, "{name}: dense picks = trimmed or > tnnz");
+
+        // Byte accounting at 1, 2 and 4 workers: identical run to run on a
+        // warm or a fresh pool, and identical across worker counts once the
+        // per-slot arena charge (4 slots per worker, each sized to the
+        // per-tile pair bound) is taken out.
+        let bound = (0..tm.tile_m)
+            .flat_map(|ti| {
+                let la = ta.tile_row_range(ti).len();
+                let b_cols = &b_cols;
+                tm.tile_row_cols(ti)
+                    .iter()
+                    .map(move |&tj| la.min(b_cols.col(tj as usize).0.len()))
+            })
+            .max()
+            .unwrap_or(0);
+        let mut net = Vec::new();
+        for threads in [1, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("explicit worker pool");
+            let peaks: Vec<usize> = pool.install(|| {
+                let (warm, fresh) = (ScratchPool::new(), ScratchPool::new());
+                [&warm, &warm, &fresh]
+                    .iter()
+                    .map(|arena| profiled_masked_square(&ta, &tm, arena).0.peak_bytes)
+                    .collect()
+            });
+            assert!(
+                peaks.iter().all(|&p| p == peaks[0]),
+                "{name}/{threads} workers: peak_bytes {peaks:?}"
+            );
+            net.push(peaks[0] - threads * 4 * Scratch::charge_for(bound));
+        }
+        assert!(
+            net.iter().all(|&n| n == net[0]),
+            "{name}: peak_bytes net of the arena charge differs by worker count: {net:?}"
+        );
+    }
+}
+
 #[test]
 fn counters_accumulate_across_jobs() {
     let (_, ta) = fixtures().remove(0);
