@@ -17,7 +17,7 @@
 use crate::RunOutcome;
 use rayon::prelude::*;
 use tilespgemm_core::step1::tile_structure_spgemm;
-use tilespgemm_core::step2::matched_pairs;
+use tilespgemm_core::step2::matched_pairs_with;
 use tilespgemm_core::SpGemmError;
 use tsg_matrix::{Csr, Scalar, TileMatrix, TILE_AREA, TILE_DIM};
 use tsg_runtime::{Breakdown, MemTracker, Step};
@@ -95,15 +95,7 @@ pub fn multiply_tiled(
             |(scratch, pairs), (t, out)| {
                 let ti = c_rowidx[t] as usize;
                 let tj = c_pattern.idx[t] as usize;
-                matched_pairs(
-                    a,
-                    &b_cols,
-                    ti,
-                    tj,
-                    tilespgemm_core::IntersectionKind::Merge,
-                    scratch,
-                    pairs,
-                );
+                matched_pairs_with(a, &b_cols, ti, tj, None, scratch, pairs);
                 let mut acc = [0.0f32; TILE_AREA];
                 let mut da = [0.0f32; TILE_AREA];
                 let mut db = [0.0f32; TILE_AREA];

@@ -1,16 +1,16 @@
-//! Ablation of §3.3's adaptive accumulator: sparse-only vs dense-only vs
-//! adaptive, and a sweep of the `tnnz` threshold around the paper's 192.
-//! The paper's rationale: dense accumulation wins above ~75% tile
-//! occupancy, sparse below.
+//! Ablation of §3.3's adaptive accumulator: the `tnnz` threshold at the
+//! paper's 192 against its two degenerate ends, 0 (every non-empty tile
+//! dense) and 256 (every tile sparse). The paper's rationale: dense
+//! accumulation wins above ~75% tile occupancy, sparse below.
 //!
 //! ```text
 //! cargo bench -p tsg-bench --bench ablation_accumulator
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tilespgemm_core::{AccumulatorKind, Config, IntersectionKind};
+use tilespgemm_core::{Config, IntersectionKind};
 use tsg_gen::suite::GenSpec;
-use tsg_matrix::TileMatrix;
+use tsg_matrix::{TileMatrix, TILE_AREA};
 use tsg_runtime::MemTracker;
 
 fn bench_accumulators(c: &mut Criterion) {
@@ -33,34 +33,18 @@ fn bench_accumulators(c: &mut Criterion) {
     for (regime, spec) in cases {
         let a = spec.build();
         let ta = TileMatrix::from_csr(&a);
-        for (label, accumulator) in [
-            ("adaptive", AccumulatorKind::Adaptive),
-            ("always-sparse", AccumulatorKind::AlwaysSparse),
-            ("always-dense", AccumulatorKind::AlwaysDense),
+        for (label, tnnz) in [
+            ("tnnz-0-always-dense", 0usize),
+            ("tnnz-192-paper", 192),
+            ("tnnz-256-always-sparse", TILE_AREA),
         ] {
             let cfg = Config::builder()
-                .tnnz_threshold(192)
+                .tnnz_threshold(tnnz)
                 .intersection(IntersectionKind::BinarySearch)
-                .accumulator(accumulator)
                 .build();
             group.bench_with_input(BenchmarkId::new(label, regime), &ta, |b, ta| {
                 b.iter(|| tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).unwrap());
             });
-        }
-        // Threshold sweep (adaptive only).
-        for tnnz in [64usize, 128, 192, 240] {
-            let cfg = Config::builder()
-                .tnnz_threshold(tnnz)
-                .intersection(IntersectionKind::BinarySearch)
-                .accumulator(AccumulatorKind::Adaptive)
-                .build();
-            group.bench_with_input(
-                BenchmarkId::new(format!("tnnz-{tnnz}"), regime),
-                &ta,
-                |b, ta| {
-                    b.iter(|| tilespgemm_core::multiply(ta, ta, &cfg, &MemTracker::new()).unwrap());
-                },
-            );
         }
     }
     group.finish();

@@ -1,7 +1,6 @@
-//! Ablation of §3.3's set-intersection choice: the paper reports that
-//! binary search (with left-bound narrowing) beats the merge primitive for
-//! matching tile pairs; this bench reproduces the comparison — extended
-//! with the bitmap kernel and the adaptive per-tile selector — both on raw
+//! Ablation of §3.3's set-intersection choice: the paper picks binary
+//! search (with left-bound narrowing) for matching tile pairs; this bench
+//! compares it with the default bitmap kernel (DESIGN.md §11), both on raw
 //! index lists and end-to-end.
 //!
 //! ```text
@@ -9,8 +8,10 @@
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tilespgemm_core::intersect::{intersect_bitmap, intersect_into, IntersectionKind};
-use tilespgemm_core::{AccumulatorKind, Config};
+use tilespgemm_core::intersect::{
+    bitmap_word_range, intersect_binary_search, intersect_bitmap, IntersectionKind,
+};
+use tilespgemm_core::Config;
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::{ListBitmaps, TileMatrix};
 use tsg_runtime::MemTracker;
@@ -39,21 +40,21 @@ fn bench_raw_intersection(c: &mut Criterion) {
     for (short, long) in [(8usize, 512usize), (64, 512), (256, 256)] {
         let a = sorted_list(short, 4096, 1);
         let b = sorted_list(long, 4096, 2);
-        for kind in [IntersectionKind::BinarySearch, IntersectionKind::Merge] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{kind:?}"), format!("{short}x{long}")),
-                &(a.clone(), b.clone()),
-                |bench, (a, b)| {
-                    let mut out = Vec::new();
-                    bench.iter(|| {
-                        intersect_into(kind, a, b, &mut out);
-                        out.len()
-                    });
-                },
-            );
-        }
+        group.bench_with_input(
+            BenchmarkId::new("BinarySearch", format!("{short}x{long}")),
+            &(a.clone(), b.clone()),
+            |bench, (a, b)| {
+                let mut out = Vec::new();
+                bench.iter(|| {
+                    intersect_binary_search(a, b, &mut out);
+                    out.len()
+                });
+            },
+        );
         // The bitmap kernel consumes pre-built sidecars (amortized over a
-        // whole pipeline run), so only the AND+rank walk is on the clock.
+        // whole pipeline run), so only the clipped AND+rank walk is on the
+        // clock.
+        let w = bitmap_word_range(&a, &b);
         let a_map = ListBitmaps::from_csr(&[0, a.len()], &a, 4096);
         let b_map = ListBitmaps::from_csr(&[0, b.len()], &b, 4096);
         group.bench_with_input(
@@ -62,6 +63,12 @@ fn bench_raw_intersection(c: &mut Criterion) {
             |bench, (a_map, b_map)| {
                 let (aw, ar) = a_map.list(0);
                 let (bw, br) = b_map.list(0);
+                let (aw, ar, bw, br) = (
+                    &aw[w.clone()],
+                    &ar[w.clone()],
+                    &bw[w.clone()],
+                    &br[w.clone()],
+                );
                 let mut out = Vec::new();
                 bench.iter(|| {
                     intersect_bitmap(aw, ar, bw, br, &mut out);
@@ -84,17 +91,8 @@ fn bench_end_to_end(c: &mut Criterion) {
     let ta = TileMatrix::from_csr(&a);
     let mut group = c.benchmark_group("intersect_end_to_end");
     group.sample_size(10);
-    for kind in [
-        IntersectionKind::BinarySearch,
-        IntersectionKind::Merge,
-        IntersectionKind::Bitmap,
-        IntersectionKind::Adaptive,
-    ] {
-        let cfg = Config::builder()
-            .tnnz_threshold(192)
-            .intersection(kind)
-            .accumulator(AccumulatorKind::Adaptive)
-            .build();
+    for kind in [IntersectionKind::BinarySearch, IntersectionKind::Bitmap] {
+        let cfg = Config::builder().intersection(kind).build();
         group.bench_function(format!("{kind:?}"), |b| {
             b.iter(|| tilespgemm_core::multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap());
         });

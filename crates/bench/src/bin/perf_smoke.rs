@@ -1,6 +1,6 @@
 //! CI perf-smoke gate for the step-2/step-3 hot path.
 //!
-//! Runs the default pipeline (adaptive intersection, one task per tile,
+//! Runs the default pipeline (bitmap intersection, one task per tile,
 //! step 3 repeating the step-2 intersection) on the webbase-like R-MAT
 //! matrix `BENCH_pipeline.json` was measured on, takes the best-of-N
 //! step2+step3 time, and fails (exit 1) when it regresses more than

@@ -5,14 +5,15 @@
 //! every implementation the workspace ships and compares each against it:
 //!
 //! * **Bitwise tier** — the tiled pipeline under every knob that must not
-//!   change a single bit of the output: intersection strategy × recorder.
-//!   These variants change how matched pairs are found, never the per-tile
-//!   arithmetic, so their tiled outputs are compared for exact equality
-//!   against the default-config run.
-//! * **Value tier** — knobs and methods that legitimately reorder the float
-//!   summation (accumulator policy × `tnnz` threshold, and all five
-//!   baseline methods). Their products are compared against gold under the
-//!   [`ValuePolicy`] after canonicalization.
+//!   change a single bit of the output: the intersection kernel, the
+//!   recorder, and the `tnnz` accumulator threshold. Both kernels emit the
+//!   same pairs in the same order, and both accumulators add each slot's
+//!   products in the same order, so these tiled outputs are compared for
+//!   exact equality against the default-config run.
+//! * **Value tier** — methods that legitimately reorder the float summation
+//!   (all five baselines). Their products, and the default run's, are
+//!   compared against gold under the [`ValuePolicy`] after
+//!   canonicalization.
 //! * **SIMD-dispatch tier** ([`check_simd`]) — [`SimdPolicy::Auto`] against
 //!   the forced-scalar run, *bitwise*, across the plain (including every
 //!   tile on the dense accumulator), masked and chained products: the
@@ -24,8 +25,8 @@
 //! product is right.
 
 use tilespgemm_core::{
-    multiply, multiply_csr, multiply_csr_with, multiply_masked, AccumulatorKind, Config,
-    IntersectionKind, SimdPolicy,
+    multiply, multiply_csr, multiply_csr_with, multiply_masked, Config, IntersectionKind,
+    SimdPolicy,
 };
 use tsg_baselines::reference::reference_spgemm;
 use tsg_baselines::{run_method, MethodKind};
@@ -46,7 +47,7 @@ pub struct OracleReport {
 /// A failed oracle run: which variant diverged, and how.
 #[derive(Debug, Clone)]
 pub struct OracleFailure {
-    /// Human-readable variant label (e.g. `tile[isect=Merge]`).
+    /// Human-readable variant label (e.g. `tile[isect=BinarySearch]`).
     pub variant: String,
     /// The first difference found.
     pub mismatch: Mismatch,
@@ -141,10 +142,9 @@ pub fn check_methods(
     Ok(checked)
 }
 
-/// Sweeps the tiled pipeline's full `Config` space. Bitwise-tier knobs are
-/// compared exactly against the default-config run; value-tier knobs
-/// (accumulator × threshold) against gold under `policy`. Returns how many
-/// variants were checked.
+/// Sweeps the tiled pipeline's `Config` space. The default-config run is
+/// compared against gold under `policy`; every other knob exactly against
+/// that run. Returns how many variants were checked.
 pub fn check_configs(
     a: &Csr<f64>,
     b: &Csr<f64>,
@@ -155,16 +155,9 @@ pub fn check_configs(
     compare_csr(&pivot.to_csr(), &gold, policy).map_err(|m| fail("tile[default]", m))?;
     let mut checked = 1;
 
-    // Bitwise tier: the intersection kernel never touches the per-tile
-    // arithmetic order, so the tiled product must be identical.
-    for intersection in [
-        IntersectionKind::BinarySearch,
-        IntersectionKind::Merge,
-        IntersectionKind::Bitmap,
-        IntersectionKind::Adaptive,
-    ] {
-        let variant = format!("tile[isect={intersection:?}]");
-        let cfg = Config::builder().intersection(intersection).build();
+    // Bitwise tier: these knobs never change the order in which a slot's
+    // products are added, so the tiled product must be identical.
+    let bitwise = |variant: String, cfg: Config| -> Result<(), OracleFailure> {
         let out = run_tile(&variant, a, b, &cfg)?;
         if out.c != pivot.c {
             return Err(fail(
@@ -174,8 +167,13 @@ pub fn check_configs(
                 },
             ));
         }
-        checked += 1;
-    }
+        Ok(())
+    };
+    let bsearch = Config::builder()
+        .intersection(IntersectionKind::BinarySearch)
+        .build();
+    bitwise("tile[isect=BinarySearch]".to_string(), bsearch)?;
+    checked += 1;
 
     // Recorder attachment must also be invisible to the product.
     {
@@ -196,24 +194,13 @@ pub fn check_configs(
         checked += 1;
     }
 
-    // Value tier: accumulator policy and threshold reorder the summation,
-    // so these compare against gold under the policy — including thresholds
-    // straddling the paper's 192 on both sides and both degenerate ends.
-    for accumulator in [
-        AccumulatorKind::Adaptive,
-        AccumulatorKind::AlwaysSparse,
-        AccumulatorKind::AlwaysDense,
-    ] {
-        for tnnz in [0usize, 64, 192, 256] {
-            let variant = format!("tile[acc={accumulator:?},tnnz={tnnz}]");
-            let cfg = Config::builder()
-                .accumulator(accumulator)
-                .tnnz_threshold(tnnz)
-                .build();
-            let out = run_tile(&variant, a, b, &cfg)?;
-            compare_csr(&out.to_csr(), &gold, policy).map_err(|m| fail(&variant, m))?;
-            checked += 1;
-        }
+    // The accumulator threshold only moves tiles between the sparse and
+    // dense accumulators: the degenerate ends (0: every non-empty tile
+    // dense; 256: every tile sparse) and a threshold below the paper's 192.
+    for tnnz in [0usize, 64, 256] {
+        let cfg = Config::builder().tnnz_threshold(tnnz).build();
+        bitwise(format!("tile[tnnz={tnnz}]"), cfg)?;
+        checked += 1;
     }
     Ok(checked)
 }
@@ -427,8 +414,8 @@ pub fn check_chain(
 /// Checks the SIMD dispatch axis: [`SimdPolicy::Auto`] must be **bitwise**
 /// identical to the forced-scalar run. The vector kernels preserve the
 /// per-output-slot addition order (separate mul/add roundings, no FMA, lane
-/// blending — see the `tilespgemm_core::simd` module docs), so unlike the
-/// accumulator value tier this axis demands exact equality, and it demands
+/// blending — see the `tilespgemm_core::simd` module docs), so this axis
+/// demands exact equality like the `Config` bitwise tier, and it demands
 /// it across the plain product (under `tnnz` thresholds on both sides of
 /// the paper's 192, and with every tile on the dense accumulator), the
 /// masked product, and a two-link tiled chain. Returns how many variants
@@ -467,9 +454,7 @@ pub fn check_simd(a: &Csr<f64>, b: &Csr<f64>) -> Result<usize, OracleFailure> {
         let cfg = Config::builder().tnnz_threshold(tnnz).build();
         checked += auto_matches_scalar(&format!("tnnz={tnnz}"), plain, cfg)?;
     }
-    let always_dense = Config::builder()
-        .accumulator(AccumulatorKind::AlwaysDense)
-        .build();
+    let always_dense = Config::builder().tnnz_threshold(0).build();
     checked += auto_matches_scalar("always-dense", plain, always_dense)?;
 
     // Masked product: the checkerboard mask trims tiles, which step 3 sends

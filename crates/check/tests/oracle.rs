@@ -5,12 +5,12 @@
 use tsg_check::{check_pair, corpus, ValuePolicy};
 
 /// One default-policy oracle run covers the whole variant space:
-/// 1 pivot + 4 bitwise (intersection) + 1 recorder
-/// + 12 value-tier (accumulator × threshold) + 5 baseline methods
+/// 1 pivot + 1 bitwise intersection (binary search) + 1 recorder
+/// + 3 bitwise `tnnz` thresholds (0, 64, 256) + 5 baseline methods
 /// + 2 masked + 3 add + 2 chain (op-expression axes)
 /// + 10 SIMD-dispatch bitwise (scalar pivot + auto for 2 tnnz, always-dense,
 ///   masked and chain)
-///   = 40.
+///   = 28.
 #[test]
 fn corpus_cases_pass_and_cover_every_variant() {
     let policy = ValuePolicy::default();
@@ -23,7 +23,7 @@ fn corpus_cases_pass_and_cover_every_variant() {
     ] {
         let (a, b) = corpus::build(name, 0).expect("case exists");
         let report = check_pair(&a, &b, &policy).unwrap_or_else(|f| panic!("{name} failed: {f}"));
-        assert_eq!(report.variants, 40, "{name} covered the full sweep");
+        assert_eq!(report.variants, 28, "{name} covered the full sweep");
     }
 }
 

@@ -23,13 +23,13 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use tilespgemm_core::{AccumulatorKind, Config, SpGemm};
+//! use tilespgemm_core::{Config, SpGemm};
 //! use tsg_matrix::{Csr, TileMatrix};
 //! use tsg_runtime::{CollectingRecorder, Counter};
 //!
 //! let recorder = Arc::new(CollectingRecorder::new());
 //! let ctx = SpGemm::builder()
-//!     .config(Config::builder().accumulator(AccumulatorKind::AlwaysDense).build())
+//!     .config(Config::builder().tnnz_threshold(0).build())
 //!     .recorder(recorder.clone())
 //!     .build();
 //! let a = TileMatrix::from_csr(&Csr::<f64>::identity(64));

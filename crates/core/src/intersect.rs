@@ -2,125 +2,64 @@
 //!
 //! For a tile `C_ij`, the tiles of `A`'s tile row `i` and `B`'s tile column
 //! `j` must be matched by index: `A_ik` pairs with `B_kj`. Both index lists
-//! are sorted, so this is sorted-set intersection. The paper evaluates two
-//! strategies and picks binary search; this module adds two more beyond the
-//! paper (DESIGN.md §11):
+//! are sorted, so this is sorted-set intersection. Two kernels (DESIGN.md
+//! §11):
 //!
-//! * [`intersect_binary_search`] — each element of the *shorter* list is
-//!   binary-searched in the longer one; after a hit, the next search's left
-//!   bound starts just past the hit (the "narrowing" the paper describes
-//!   with its `tilecolidx_A` example).
-//! * [`intersect_merge`] — the classic two-pointer merge, kept as the
-//!   ablation baseline (`ablation_intersection` bench).
-//! * [`intersect_bitmap`] — word-wise AND over the
-//!   [`tsg_matrix::ListBitmaps`] sidecar with `trailing_zeros` iteration;
-//!   list positions are recovered by rank-by-popcount. Cost is independent
-//!   of the list lengths, which makes it the winner on dense tile rows.
-//! * [`IntersectionKind::Adaptive`] — picks one of the three per tile from
-//!   the list lengths and the bitmap width via [`adaptive_choice`].
+//! * [`intersect_bitmap`] — the default: word-wise AND over the
+//!   [`tsg_matrix::ListBitmaps`] sidecars with `trailing_zeros` iteration;
+//!   list positions are recovered by rank-by-popcount. Only the words both
+//!   lists can share are scanned ([`bitmap_word_range`]).
+//! * [`intersect_binary_search`] — the paper's kernel: each element of the
+//!   *shorter* list is binary-searched in the longer one; after a hit, the
+//!   next search's left bound starts just past the hit (the "narrowing" the
+//!   paper describes with its `tilecolidx_A` example). It also runs whenever
+//!   the pipeline did not build the sidecars.
 //!
-//! Every kernel emits the same pair list in the same (ascending-value)
+//! Both kernels emit the same pair list in the same (ascending-value)
 //! order, so the choice is bitwise-invisible in the product — the
 //! `tsg-check` oracle pins this across its whole corpus.
+
+use std::ops::Range;
 
 /// Which intersection kernel step 2 and step 3 use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IntersectionKind {
-    /// Binary-search the shorter list into the longer one (paper default).
-    BinarySearch,
-    /// Two-pointer merge.
-    Merge,
     /// Word-wise AND over per-list bitmaps with rank-by-popcount position
-    /// recovery. Falls back to [`Self::BinarySearch`] when the pipeline
-    /// skipped building the sidecar (see `resolve_kind`).
+    /// recovery (default). Runs as [`Self::BinarySearch`] when the pipeline
+    /// skips the sidecars because they would exceed its footprint cap.
     Bitmap,
-    /// Per-tile choice among the three concrete kernels by the cost model
-    /// in [`adaptive_choice`].
-    Adaptive,
+    /// Binary-search the shorter list into the longer one (the paper's
+    /// kernel).
+    BinarySearch,
 }
 
 /// A matched tile pair: positions into the two index lists.
 pub type MatchedPair = (u32, u32);
 
-/// Relative cost of touching one bitmap word versus advancing one list
-/// element: an AND plus a zero test per word, and two popcounts per hit.
-/// Calibrated on the `ablation_intersection` bench; see DESIGN.md §11.
-const BITMAP_WORD_COST: usize = 2;
-
-/// The deterministic per-tile kernel choice for
-/// [`IntersectionKind::Adaptive`]: compares the model costs
-///
-/// * merge — `la + lb` advances,
-/// * binary search — `min` probes of `ceil(log2(max) + 1)` steps,
-/// * bitmap — `words × BITMAP_WORD_COST` (when a sidecar exists),
-///
-/// and returns the cheapest (ties prefer binary search, then merge). A pure
-/// function of `(la, lb, bitmap_words)`, so instrumentation can replay the
-/// choice outside the hot loop.
-pub fn adaptive_choice(la: usize, lb: usize, bitmap_words: Option<usize>) -> IntersectionKind {
-    if la == 0 || lb == 0 {
-        return IntersectionKind::BinarySearch;
-    }
-    let (short, long) = if la <= lb { (la, lb) } else { (lb, la) };
-    let merge = la + lb;
-    let bsearch = short * (usize::BITS - long.leading_zeros()) as usize;
-    let bitmap = bitmap_words.map(|w| w * BITMAP_WORD_COST);
-    if let Some(bitmap) = bitmap {
-        if bitmap < bsearch && bitmap < merge {
-            return IntersectionKind::Bitmap;
-        }
-    }
-    if bsearch <= merge {
-        IntersectionKind::BinarySearch
-    } else {
-        IntersectionKind::Merge
-    }
-}
-
-/// Resolves a configured kind to the concrete kernel for one tile:
-/// [`IntersectionKind::Adaptive`] goes through [`adaptive_choice`], and
-/// [`IntersectionKind::Bitmap`] degrades to binary search when no sidecar
-/// was built (`bitmap_words == None`). Never returns `Adaptive`, and
-/// returns `Bitmap` only when `bitmap_words` is `Some`.
-pub fn resolve_kind(
-    kind: IntersectionKind,
-    la: usize,
-    lb: usize,
-    bitmap_words: Option<usize>,
-) -> IntersectionKind {
-    match kind {
-        IntersectionKind::BinarySearch | IntersectionKind::Merge => kind,
-        IntersectionKind::Bitmap => {
-            if bitmap_words.is_some() {
-                IntersectionKind::Bitmap
+/// The sidecar words the bitmap kernel scans for ascending lists `a` and
+/// `b`: from the word holding `max(a_first, b_first)` through the word
+/// holding `min(a_last, b_last)`. No common value lies outside that span,
+/// and the range is empty when either list is empty or the value ranges do
+/// not overlap.
+pub fn bitmap_word_range(a: &[u32], b: &[u32]) -> Range<usize> {
+    match (a.first(), a.last(), b.first(), b.last()) {
+        (Some(&a_first), Some(&a_last), Some(&b_first), Some(&b_last)) => {
+            let (lo, hi) = (a_first.max(b_first), a_last.min(b_last));
+            if lo > hi {
+                0..0
             } else {
-                IntersectionKind::BinarySearch
+                lo as usize / 64..hi as usize / 64 + 1
             }
         }
-        IntersectionKind::Adaptive => adaptive_choice(la, lb, bitmap_words),
+        _ => 0..0,
     }
 }
 
-/// Intersects `a` and `b` (both strictly ascending), pushing `(pos_a,
-/// pos_b)` pairs for every common value, using the configured kernel.
-///
-/// This list-only entry point has no bitmap sidecar, so
-/// [`IntersectionKind::Bitmap`]/[`IntersectionKind::Adaptive`] resolve to a
-/// list kernel; the pipeline dispatches bitmaps itself through
-/// [`crate::step2::matched_pairs_with`].
-pub fn intersect_into(kind: IntersectionKind, a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
-    out.clear();
-    match resolve_kind(kind, a.len(), b.len(), None) {
-        IntersectionKind::BinarySearch => intersect_binary_search(a, b, out),
-        IntersectionKind::Merge => intersect_merge(a, b, out),
-        IntersectionKind::Bitmap | IntersectionKind::Adaptive => {
-            unreachable!("resolve_kind without a sidecar yields a list kernel")
-        }
-    }
-}
-
-/// Binary-search intersection with left-bound narrowing.
+/// Binary-search intersection with left-bound narrowing: replaces `out`
+/// with the `(pos_a, pos_b)` pairs of every value common to the strictly
+/// ascending `a` and `b`.
 pub fn intersect_binary_search(a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
+    out.clear();
     // Search each element of the shorter array within the longer one, as the
     // paper's Algorithm 2 does (lines 6 and 16–17 swap the roles).
     if a.len() <= b.len() {
@@ -156,28 +95,14 @@ fn search_short_in_long(short: &[u32], long: &[u32], out: &mut Vec<MatchedPair>,
     }
 }
 
-/// Two-pointer merge intersection.
-pub fn intersect_merge(a: &[u32], b: &[u32], out: &mut Vec<MatchedPair>) {
-    let (mut p, mut q) = (0usize, 0usize);
-    while p < a.len() && q < b.len() {
-        match a[p].cmp(&b[q]) {
-            std::cmp::Ordering::Less => p += 1,
-            std::cmp::Ordering::Greater => q += 1,
-            std::cmp::Ordering::Equal => {
-                out.push((p as u32, q as u32));
-                p += 1;
-                q += 1;
-            }
-        }
-    }
-}
-
 /// Bitmap intersection over two lists' [`tsg_matrix::ListBitmaps`] rows:
 /// `(a_words, a_rank)` and `(b_words, b_rank)` are the membership words and
-/// exclusive prefix popcounts of the two lists (equal length). Common values
+/// exclusive prefix popcounts of the two lists (equal length), or the same
+/// word sub-range of both (the ranks are absolute list positions, so a
+/// [`bitmap_word_range`] slice recovers the same pairs). Common values
 /// survive the word-wise AND; each survivor's positions in the *lists* are
 /// recovered as `rank[word] + popcount(word_bits_below_it)`. Output order is
-/// ascending by value — identical to the list kernels'.
+/// ascending by value — identical to binary search's.
 pub fn intersect_bitmap(
     a_words: &[u64],
     a_rank: &[u32],
@@ -209,13 +134,14 @@ mod tests {
     use super::*;
     use tsg_matrix::ListBitmaps;
 
-    fn run(kind: IntersectionKind, a: &[u32], b: &[u32]) -> Vec<MatchedPair> {
-        let mut out = Vec::new();
-        intersect_into(kind, a, b, &mut out);
+    fn run_bsearch(a: &[u32], b: &[u32]) -> Vec<MatchedPair> {
+        let mut out = vec![(9u32, 9u32)]; // must be cleared
+        intersect_binary_search(a, b, &mut out);
         out
     }
 
-    /// Bitmap intersection of two plain lists via a throwaway sidecar.
+    /// Bitmap intersection of two plain lists via a throwaway sidecar,
+    /// scanning only the clipped word range.
     fn run_bitmap(a: &[u32], b: &[u32]) -> Vec<MatchedPair> {
         let universe = a.iter().chain(b).max().map_or(1, |&m| m as usize + 1);
         let mut idx = a.to_vec();
@@ -223,8 +149,15 @@ mod tests {
         let bm = ListBitmaps::from_csr(&[0, a.len(), a.len() + b.len()], &idx, universe);
         let (aw, ar) = bm.list(0);
         let (bw, br) = bm.list(1);
+        let w = bitmap_word_range(a, b);
         let mut out = vec![(9u32, 9u32)]; // must be cleared
-        intersect_bitmap(aw, ar, bw, br, &mut out);
+        intersect_bitmap(
+            &aw[w.clone()],
+            &ar[w.clone()],
+            &bw[w.clone()],
+            &br[w],
+            &mut out,
+        );
         out
     }
 
@@ -235,14 +168,14 @@ mod tests {
         // A13·B32.
         let a = [0u32, 1, 3];
         let b = [1u32, 3];
-        let pairs = run(IntersectionKind::BinarySearch, &a, &b);
+        let pairs = run_bsearch(&a, &b);
         // Positions: value 1 sits at a[1]/b[0], value 3 at a[2]/b[1].
         assert_eq!(pairs, vec![(1, 0), (2, 1)]);
         assert_eq!(run_bitmap(&a, &b), pairs);
     }
 
     #[test]
-    fn all_kernels_agree_on_many_inputs() {
+    fn both_kernels_agree_on_many_inputs() {
         let mut state = 12345u64;
         let mut next = move || {
             state ^= state << 13;
@@ -262,11 +195,8 @@ mod tests {
             a.dedup();
             b.sort_unstable();
             b.dedup();
-            let bs = run(IntersectionKind::BinarySearch, &a, &b);
-            let mg = run(IntersectionKind::Merge, &a, &b);
-            let bm = run_bitmap(&a, &b);
-            assert_eq!(bs, mg, "a={a:?} b={b:?}");
-            assert_eq!(bs, bm, "a={a:?} b={b:?}");
+            let bs = run_bsearch(&a, &b);
+            assert_eq!(bs, run_bitmap(&a, &b), "a={a:?} b={b:?}");
             // And every reported pair is a real match.
             for (pa, pb) in bs {
                 assert_eq!(a[pa as usize], b[pb as usize]);
@@ -276,17 +206,31 @@ mod tests {
 
     #[test]
     fn empty_and_disjoint_inputs() {
-        assert!(run(IntersectionKind::BinarySearch, &[], &[1, 2]).is_empty());
-        assert!(run(IntersectionKind::BinarySearch, &[3], &[]).is_empty());
-        assert!(run(IntersectionKind::Merge, &[1, 3, 5], &[0, 2, 4]).is_empty());
-        assert!(run(IntersectionKind::BinarySearch, &[1, 3, 5], &[0, 2, 4]).is_empty());
+        assert!(run_bsearch(&[], &[1, 2]).is_empty());
+        assert!(run_bsearch(&[3], &[]).is_empty());
+        assert!(run_bsearch(&[1, 3, 5], &[0, 2, 4]).is_empty());
         assert!(run_bitmap(&[1, 3, 5], &[0, 2, 4]).is_empty());
+        assert!(run_bitmap(&[], &[1, 2]).is_empty());
+    }
+
+    #[test]
+    fn word_range_clips_to_the_shared_span() {
+        // Either list empty, or value ranges that do not overlap: no words.
+        assert_eq!(bitmap_word_range(&[], &[1, 2]), 0..0);
+        assert_eq!(bitmap_word_range(&[5], &[]), 0..0);
+        assert_eq!(bitmap_word_range(&[0, 10, 63], &[64, 200]), 0..0);
+        assert_eq!(bitmap_word_range(&[300, 400], &[1, 2, 299]), 0..0);
+        // Overlap inside one word scans just that word, wherever it sits.
+        assert_eq!(bitmap_word_range(&[1, 63], &[0, 70]), 0..1);
+        assert_eq!(bitmap_word_range(&[130, 140], &[0, 135, 900]), 2..3);
+        // A span crossing words covers both ends inclusively.
+        assert_eq!(bitmap_word_range(&[0, 200], &[60, 130, 500]), 0..4);
     }
 
     #[test]
     fn identical_lists_match_elementwise() {
         let v: Vec<u32> = (0..50).map(|i| i * 3).collect();
-        let pairs = run(IntersectionKind::BinarySearch, &v, &v);
+        let pairs = run_bsearch(&v, &v);
         assert_eq!(pairs.len(), 50);
         assert!(pairs
             .iter()
@@ -301,73 +245,8 @@ mod tests {
         // (pos_in_a, pos_in_b).
         let a = [1u32, 4, 6, 9, 12, 15];
         let b = [6u32, 15];
-        let pairs = run(IntersectionKind::BinarySearch, &a, &b);
+        let pairs = run_bsearch(&a, &b);
         assert_eq!(pairs, vec![(2, 0), (5, 1)]);
         assert_eq!(run_bitmap(&a, &b), pairs);
-    }
-
-    #[test]
-    fn intersect_into_clears_previous_contents() {
-        let mut out = vec![(9u32, 9u32)];
-        intersect_into(IntersectionKind::Merge, &[1], &[1], &mut out);
-        assert_eq!(out, vec![(0, 0)]);
-    }
-
-    #[test]
-    fn intersect_into_resolves_sidecar_kinds_to_list_kernels() {
-        let a = [0u32, 2, 5, 9];
-        let b = [2u32, 9, 11];
-        let want = run(IntersectionKind::Merge, &a, &b);
-        assert_eq!(run(IntersectionKind::Bitmap, &a, &b), want);
-        assert_eq!(run(IntersectionKind::Adaptive, &a, &b), want);
-    }
-
-    #[test]
-    fn adaptive_choice_follows_the_cost_model() {
-        // Tiny lists: binary search beats a 16-word bitmap pass.
-        assert_eq!(
-            adaptive_choice(2, 3, Some(16)),
-            IntersectionKind::BinarySearch
-        );
-        // Two long lists: the fixed-cost bitmap wins.
-        assert_eq!(
-            adaptive_choice(200, 300, Some(16)),
-            IntersectionKind::Bitmap
-        );
-        // Comparable long lists without a sidecar: merge beats log-factor
-        // binary search.
-        assert_eq!(adaptive_choice(100, 110, None), IntersectionKind::Merge);
-        // Empty list: trivially binary search (cost 0).
-        assert_eq!(
-            adaptive_choice(0, 50, Some(1)),
-            IntersectionKind::BinarySearch
-        );
-        // Never returns Adaptive, and Bitmap only with a sidecar.
-        for la in 0..40 {
-            for lb in 0..40 {
-                for words in [None, Some(1), Some(8), Some(64)] {
-                    let k = adaptive_choice(la, lb, words);
-                    assert_ne!(k, IntersectionKind::Adaptive);
-                    assert!(words.is_some() || k != IntersectionKind::Bitmap);
-                    assert_eq!(k, resolve_kind(IntersectionKind::Adaptive, la, lb, words));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn resolve_kind_degrades_bitmap_without_sidecar() {
-        assert_eq!(
-            resolve_kind(IntersectionKind::Bitmap, 5, 5, None),
-            IntersectionKind::BinarySearch
-        );
-        assert_eq!(
-            resolve_kind(IntersectionKind::Bitmap, 5, 5, Some(4)),
-            IntersectionKind::Bitmap
-        );
-        assert_eq!(
-            resolve_kind(IntersectionKind::Merge, 5, 5, Some(4)),
-            IntersectionKind::Merge
-        );
     }
 }

@@ -10,8 +10,9 @@
 //! 1. [`step1`] — a symbolic SpGEMM on the high-level tile layout
 //!    `C' = A'·B'` yields the (possibly overestimated) set of non-empty
 //!    tiles of `C`;
-//! 2. [`step2`] — per tile of `C`: binary-search set intersection of `A`'s
-//!    tile row with `B`'s tile column finds the matched tile pairs, and
+//! 2. [`step2`] — per tile of `C`: set intersection of `A`'s tile row with
+//!    `B`'s tile column finds the matched tile pairs (a bitmap kernel by
+//!    default, the paper's binary search on request), and
 //!    OR-ing `B`'s row bitmasks through `A`'s nonzeros produces `C`'s tile
 //!    masks, local row pointers, and nonzero counts, after which `C` is
 //!    allocated;
@@ -60,7 +61,6 @@ pub use pipeline::{
 };
 pub use simd::{SimdLevel, SimdPolicy};
 pub use spmv::{spmv, spmv_masked};
-pub use step3::AccumulatorKind;
 
 /// Tuning knobs of the algorithm. `Config::default()` is the paper's
 /// configuration; the other variants exist for the ablation benches.
@@ -80,17 +80,16 @@ pub use step3::AccumulatorKind;
 #[non_exhaustive]
 pub struct Config {
     /// Sparse/dense accumulator switch-over: tiles with more stored nonzeros
-    /// than this use the dense accumulator. The paper sets 192 (75% of 256).
+    /// than this use the dense accumulator. The paper sets 192 (75% of 256);
+    /// `0` puts every non-empty tile on the dense accumulator and
+    /// [`tsg_matrix::TILE_AREA`] every unmasked tile on the sparse one.
     pub tnnz_threshold: usize,
-    /// Set-intersection strategy for step 2. The paper fixes binary search
-    /// (which it found faster than merging); the default here is
-    /// [`IntersectionKind::Adaptive`], which picks binary search, merge, or
-    /// the bitmap kernel per tile from list lengths and sidecar density —
-    /// a documented, bitwise-invisible departure. Set
-    /// [`IntersectionKind::BinarySearch`] for the paper-faithful kernel.
+    /// Set-intersection kernel for steps 2 and 3. The paper fixes binary
+    /// search (which it found faster than merging); the default here is
+    /// [`IntersectionKind::Bitmap`], a word-parallel AND over per-list
+    /// bitmaps — a documented, bitwise-invisible departure (DESIGN.md §11).
+    /// Set [`IntersectionKind::BinarySearch`] for the paper-faithful kernel.
     pub intersection: IntersectionKind,
-    /// Accumulator policy for step 3 (paper: adaptive).
-    pub accumulator: AccumulatorKind,
     /// Step-3 numeric-kernel policy (see [`crate::simd`]): runtime-detected
     /// vector kernels under `Auto` (default), or the scalar reference under
     /// `ForceScalar`. Both are bit-identical — the tsg-check oracle enforces
@@ -102,8 +101,7 @@ impl Default for Config {
     fn default() -> Self {
         Self {
             tnnz_threshold: 192,
-            intersection: IntersectionKind::Adaptive,
-            accumulator: AccumulatorKind::Adaptive,
+            intersection: IntersectionKind::Bitmap,
             simd: SimdPolicy::Auto,
         }
     }
@@ -129,15 +127,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Sets the step-2 set-intersection strategy.
+    /// Sets the step-2/3 set-intersection kernel.
     pub fn intersection(mut self, v: IntersectionKind) -> Self {
         self.config.intersection = v;
-        self
-    }
-
-    /// Sets the step-3 accumulator policy.
-    pub fn accumulator(mut self, v: AccumulatorKind) -> Self {
-        self.config.accumulator = v;
         self
     }
 
@@ -216,10 +208,9 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.tnnz_threshold, 192);
         // A deliberate departure from the paper (DESIGN.md §11): the
-        // intersection kernel is chosen adaptively per tile. It is
+        // intersection kernel is the bitmap AND, not binary search. It is
         // bitwise-invisible in the output.
-        assert_eq!(c.intersection, IntersectionKind::Adaptive);
-        assert_eq!(c.accumulator, AccumulatorKind::Adaptive);
+        assert_eq!(c.intersection, IntersectionKind::Bitmap);
         // Second bitwise-invisible departure (DESIGN.md §15): the numeric
         // kernels dispatch to runtime-detected SIMD lanes by default.
         assert_eq!(c.simd, SimdPolicy::Auto);
@@ -228,11 +219,9 @@ mod tests {
     #[test]
     fn builder_overrides_only_named_fields() {
         let cfg = Config::builder()
-            .intersection(IntersectionKind::Merge)
-            .accumulator(AccumulatorKind::AlwaysDense)
+            .intersection(IntersectionKind::BinarySearch)
             .build();
-        assert_eq!(cfg.intersection, IntersectionKind::Merge);
-        assert_eq!(cfg.accumulator, AccumulatorKind::AlwaysDense);
+        assert_eq!(cfg.intersection, IntersectionKind::BinarySearch);
         // Everything unset keeps the paper defaults.
         assert_eq!(cfg.tnnz_threshold, 192);
         assert_eq!(cfg.simd, SimdPolicy::Auto);

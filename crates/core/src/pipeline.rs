@@ -3,7 +3,7 @@
 //! accounting for Figures 7 and 9.
 
 use crate::convert::{timed_csr_to_tile, ConversionTiming};
-use crate::intersect::{resolve_kind, IntersectionKind};
+use crate::intersect::{bitmap_word_range, IntersectionKind};
 use crate::maskops;
 use crate::simd::{self, Kernel};
 use crate::step1::{tile_structure_spgemm, TilePattern};
@@ -43,49 +43,37 @@ impl<T: Scalar> Output<T> {
 
 /// Footprint cap for the bitmap intersection sidecars: when
 /// [`ListBitmaps::bytes_for`] over both operands exceeds this, the sidecars
-/// are skipped and `Bitmap`/`Adaptive` degrade to the list kernels. The cap
-/// bounds the sidecar to a small fraction of any realistic operand set
-/// while admitting every matrix in the evaluation suite (webbase-like at
-/// scale 14 needs ≈0.4 MB).
+/// are skipped and binary search runs instead. The cap bounds the sidecars
+/// to a small fraction of any realistic operand set while admitting every
+/// matrix in the evaluation suite (webbase-like at scale 14 needs ≈0.4 MB).
 const TILE_BITMAP_MAX_BYTES: usize = 8 << 20;
 
 /// Set-intersection lookups a step-2/step-3 intersection pass issues, plus
-/// the chosen-kernel histogram `[binary-search, merge, bitmap]`, derived
-/// from list lengths alone: binary search probes once per element of the
-/// shorter tile list; merge advances at most `|a| + |b|` times; the bitmap
-/// kernel touches its fixed word count. The per-tile kernel choice is a
-/// pure function of the lengths ([`resolve_kind`]), so the histogram can be
-/// replayed here, outside the parallel hot loops — the counters are a
-/// deterministic proxy, not a hardware event count.
+/// the kernel histogram `[binary-search, bitmap]`. Whether the sidecars were
+/// built decides the kernel for the whole multiply, so this replays it
+/// outside the parallel hot loops: binary search probes once per element of
+/// the shorter tile list; the bitmap kernel touches the words of its
+/// clipped range ([`bitmap_word_range`]). The counters are a deterministic
+/// proxy, not a hardware event count.
 fn intersection_stats<T: Scalar>(
     a: &TileMatrix<T>,
     b_cols: &TileColIndex,
     c_rowidx: &[u32],
     c_colidx: &[u32],
-    kind: IntersectionKind,
-    bitmap_words: Option<usize>,
-) -> (u64, [u64; 3]) {
+    bitmaps: bool,
+) -> (u64, [u64; 2]) {
     let mut probes = 0u64;
-    let mut picks = [0u64; 3];
-    for t in 0..c_rowidx.len() {
-        let la = a.tile_row_range(c_rowidx[t] as usize).len();
-        let lb = b_cols.col(c_colidx[t] as usize).0.len();
-        probes += match resolve_kind(kind, la, lb, bitmap_words) {
-            IntersectionKind::BinarySearch => {
-                picks[0] += 1;
-                la.min(lb) as u64
-            }
-            IntersectionKind::Merge => {
-                picks[1] += 1;
-                (la + lb) as u64
-            }
-            IntersectionKind::Bitmap => {
-                picks[2] += 1;
-                bitmap_words.expect("Bitmap only resolves with sidecars") as u64
-            }
-            IntersectionKind::Adaptive => unreachable!("resolve_kind never yields Adaptive"),
-        };
+    for (&ti, &tj) in c_rowidx.iter().zip(c_colidx) {
+        let a_cols = a.tile_row_cols(ti as usize);
+        let b_rows = b_cols.col(tj as usize).0;
+        probes += if bitmaps {
+            bitmap_word_range(a_cols, b_rows).len()
+        } else {
+            a_cols.len().min(b_rows.len())
+        } as u64;
     }
+    let tiles = c_rowidx.len() as u64;
+    let picks = if bitmaps { [0, tiles] } else { [tiles, 0] };
     (probes, picks)
 }
 
@@ -111,7 +99,7 @@ pub fn multiply<T: Scalar>(
 /// [`multiply`] with an explicit recorder and job id: phase spans nest under
 /// a `"job"` root span recorded for `job`, and the pipeline's counters
 /// ([`Counter::TilesVisited`], matched pairs, intersection probes, the
-/// chosen-kernel histogram, accumulator picks) flow into the
+/// intersection-kernel histogram, accumulator picks) flow into the
 /// recorder.
 ///
 /// All per-tile instrumentation is derived outside the parallel hot loops
@@ -221,29 +209,28 @@ pub fn multiply_with_pool<T: Scalar>(
 
     // ---- Allocation for step 2 (counted like the paper's cudaMalloc). ----
     // B's column-wise tile index (Algorithm 2's tileColPtr_B/tileRowidx_B),
-    // C's expanded tile-row indices, and — when the intersection kind wants
-    // them and the footprint gate admits them — the bitmap sidecars of A's
-    // tile rows and B's tile columns.
+    // C's expanded tile-row indices, and — under the bitmap kernel, when the
+    // footprint gate admits them — the bitmap sidecars of A's tile rows and
+    // B's tile columns. Whether they are built picks the kernel for the
+    // whole multiply.
     let span = recorder.span_enter(job, "alloc");
     let (b_cols, bitmaps, c_rowidx, max_pairs, mut c_masks, mut c_row_ptr) =
         breakdown.timed(Step::Alloc, || {
             let b_cols = b.col_index();
-            let bitmaps: Option<(ListBitmaps, ListBitmaps)> = match config.intersection {
-                IntersectionKind::Bitmap | IntersectionKind::Adaptive if num_tiles > 0 => {
-                    // Both lists live in the shared universe K = A.tile_n ==
-                    // B.tile_m (shapes were checked above).
-                    let k = a.tile_n;
-                    let est =
-                        ListBitmaps::bytes_for(a.tile_m, k) + ListBitmaps::bytes_for(b.tile_n, k);
-                    (est <= TILE_BITMAP_MAX_BYTES).then(|| {
-                        (
-                            ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, k),
-                            ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, k),
-                        )
-                    })
-                }
-                _ => None,
-            };
+            // Both lists live in the shared universe K = A.tile_n == B.tile_m
+            // (shapes were checked above).
+            let k = a.tile_n;
+            let sidecar_bytes =
+                ListBitmaps::bytes_for(a.tile_m, k) + ListBitmaps::bytes_for(b.tile_n, k);
+            let bitmaps = (config.intersection == IntersectionKind::Bitmap
+                && num_tiles > 0
+                && sidecar_bytes <= TILE_BITMAP_MAX_BYTES)
+                .then(|| {
+                    (
+                        ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, k),
+                        ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, k),
+                    )
+                });
             let mut c_rowidx = vec![0u32; num_tiles];
             for ti in 0..c_pattern.rows {
                 c_rowidx[c_pattern.ptr[ti]..c_pattern.ptr[ti + 1]].fill(ti as u32);
@@ -266,7 +253,6 @@ pub fn multiply_with_pool<T: Scalar>(
         });
     recorder.span_exit(span);
     let bitmaps_ref = bitmaps.as_ref().map(|(am, bm)| (am, bm));
-    let bitmap_words = bitmaps_ref.map(|(am, _)| am.words_per_list());
     let step2_temp_bytes = c_pattern.nnz() * 4
         + b_cols.colptr.len() * 8
         + b_cols.rowidx.len() * 8
@@ -321,7 +307,6 @@ pub fn multiply_with_pool<T: Scalar>(
                         &b_cols,
                         c_rowidx[t] as usize,
                         c_pattern.idx[t] as usize,
-                        config.intersection,
                         bitmaps_ref,
                         &mut s.pos_pairs,
                         &mut s.id_pairs,
@@ -355,17 +340,11 @@ pub fn multiply_with_pool<T: Scalar>(
 
     // Step-2 counters, all derived from state the phase already produced:
     // one visit per predicted output tile (== step-1 nnz), the matched-pair
-    // total, the length-derived probe count, and the chosen-kernel
-    // histogram (see `intersection_stats`).
+    // total, the length-derived probe count, and the kernel histogram (see
+    // `intersection_stats`).
     let probes = if enabled {
-        let (probes, picks) = intersection_stats(
-            a,
-            &b_cols,
-            &c_rowidx,
-            &c_pattern.idx,
-            config.intersection,
-            bitmap_words,
-        );
+        let (probes, picks) =
+            intersection_stats(a, &b_cols, &c_rowidx, &c_pattern.idx, bitmaps_ref.is_some());
         recorder.add(Counter::TilesVisited, num_tiles as u64);
         recorder.add(
             Counter::MatchedPairs,
@@ -373,8 +352,7 @@ pub fn multiply_with_pool<T: Scalar>(
         );
         recorder.add(Counter::IntersectionProbes, probes);
         recorder.add(Counter::IsectBinaryPicks, picks[0]);
-        recorder.add(Counter::IsectMergePicks, picks[1]);
-        recorder.add(Counter::IsectBitmapPicks, picks[2]);
+        recorder.add(Counter::IsectBitmapPicks, picks[1]);
         probes
     } else {
         0
@@ -403,7 +381,7 @@ pub fn multiply_with_pool<T: Scalar>(
     // The per-tile kernel: the paper's `tnnz` accumulator rule, with every
     // mask-trimmed tile on the dense side, at the run's vector level.
     let kernel_for = |t: usize, nnz: usize| {
-        let dense = trimmed[t] || config.accumulator.use_dense(nnz, config.tnnz_threshold);
+        let dense = trimmed[t] || nnz > config.tnnz_threshold;
         simd::select_kernel(simd_level, dense)
     };
     let span = recorder.span_enter(job, "step3");
@@ -431,7 +409,6 @@ pub fn multiply_with_pool<T: Scalar>(
                         &b_cols,
                         c_rowidx[t] as usize,
                         c_pattern.idx[t] as usize,
-                        config.intersection,
                         bitmaps_ref,
                         &mut s.pos_pairs,
                         &mut s.id_pairs,
@@ -619,31 +596,19 @@ mod tests {
         let reference = multiply_csr(&a, &a, &Config::default(), &MemTracker::new())
             .unwrap()
             .to_csr();
-        for intersection in [
-            crate::IntersectionKind::BinarySearch,
-            crate::IntersectionKind::Merge,
-            crate::IntersectionKind::Bitmap,
-            crate::IntersectionKind::Adaptive,
-        ] {
-            for accumulator in [
-                crate::AccumulatorKind::Adaptive,
-                crate::AccumulatorKind::AlwaysSparse,
-                crate::AccumulatorKind::AlwaysDense,
-            ] {
-                for tnnz_threshold in [0, 64, 192, 256] {
-                    let cfg = Config::builder()
-                        .tnnz_threshold(tnnz_threshold)
-                        .intersection(intersection)
-                        .accumulator(accumulator)
-                        .build();
-                    let c = multiply_csr(&a, &a, &cfg, &MemTracker::new())
-                        .unwrap()
-                        .to_csr();
-                    assert!(
-                        c.approx_eq_ignoring_zeros(&reference, 1e-10),
-                        "variant {cfg:?} disagrees"
-                    );
-                }
+        for intersection in [IntersectionKind::BinarySearch, IntersectionKind::Bitmap] {
+            for tnnz_threshold in [0, 64, 192, 256] {
+                let cfg = Config::builder()
+                    .tnnz_threshold(tnnz_threshold)
+                    .intersection(intersection)
+                    .build();
+                let c = multiply_csr(&a, &a, &cfg, &MemTracker::new())
+                    .unwrap()
+                    .to_csr();
+                assert!(
+                    c.approx_eq_ignoring_zeros(&reference, 1e-10),
+                    "variant {cfg:?} disagrees"
+                );
             }
         }
     }
@@ -710,10 +675,9 @@ mod tests {
     #[test]
     fn intersection_kinds_agree_bitwise_on_skewed_input() {
         use tsg_gen::suite::GenSpec;
-        // All four kinds — including the sidecar-backed bitmap kernel and
-        // the adaptive selector — must produce bit-identical tile matrices:
-        // every kernel emits pairs in ascending A-position order, so even
-        // float accumulation order is the same.
+        // Both kernels must produce bit-identical tile matrices: each emits
+        // pairs in ascending A-position order, so even float accumulation
+        // order is the same.
         let a: Csr<f64> = GenSpec::Rmat {
             scale: 11,
             edges: 20_000,
@@ -723,12 +687,7 @@ mod tests {
         .build();
         let ta = TileMatrix::from_csr(&a);
         let reference = multiply(&ta, &ta, &Config::default(), &MemTracker::new()).unwrap();
-        for intersection in [
-            crate::IntersectionKind::BinarySearch,
-            crate::IntersectionKind::Merge,
-            crate::IntersectionKind::Bitmap,
-            crate::IntersectionKind::Adaptive,
-        ] {
+        for intersection in [IntersectionKind::BinarySearch, IntersectionKind::Bitmap] {
             let cfg = Config {
                 intersection,
                 ..Config::default()
@@ -736,6 +695,41 @@ mod tests {
             let out = multiply(&ta, &ta, &cfg, &MemTracker::new()).unwrap();
             assert_eq!(reference.c, out.c, "{intersection:?} must agree bitwise");
         }
+    }
+
+    #[test]
+    fn sidecars_over_the_cap_fall_back_to_binary_search() {
+        use tsg_runtime::CollectingRecorder;
+        // identity(262_144) has 16_384 tile rows and tile columns over a
+        // 16_384-id universe: each sidecar would take 16_384 · 256 words ·
+        // 12 bytes ≈ 50 MB, far over the cap.
+        let n = 262_144;
+        let ta = TileMatrix::from_csr(&Csr::<f64>::identity(n));
+        assert!(
+            ListBitmaps::bytes_for(ta.tile_m, ta.tile_n) * 2 > TILE_BITMAP_MAX_BYTES,
+            "the input must exceed the sidecar cap"
+        );
+        let recorder = CollectingRecorder::new();
+        let out = multiply_with(
+            &ta,
+            &ta,
+            &Config::default(),
+            &MemTracker::new(),
+            &recorder,
+            1,
+        )
+        .unwrap();
+        let snap = recorder.snapshot();
+        let visited = snap.get(Counter::TilesVisited);
+        assert_eq!(visited, ta.tile_m as u64);
+        assert_eq!(snap.get(Counter::IsectBitmapPicks), 0);
+        assert_eq!(snap.get(Counter::IsectBinaryPicks), visited);
+        let bsearch = Config::builder()
+            .intersection(IntersectionKind::BinarySearch)
+            .build();
+        let want = multiply(&ta, &ta, &bsearch, &MemTracker::new()).unwrap();
+        assert_eq!(out.c, want.c);
+        assert_eq!(out.c.nnz(), n);
     }
 
     #[test]

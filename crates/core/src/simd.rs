@@ -15,7 +15,7 @@
 //!    scalar reference for differential checks and the ablation.
 //!
 //! The accumulator choice itself is the paper's `tnnz` rule
-//! ([`crate::AccumulatorKind::use_dense`]); the level only picks which
+//! ([`crate::Config::tnnz_threshold`]); the level only picks which
 //! implementation of that accumulator runs (see [`select_kernel`]).
 //!
 //! **Bitwise identity.** Every path here produces output bit-identical to
@@ -118,7 +118,7 @@ pub fn resolve_level(policy: SimdPolicy) -> SimdLevel {
 /// The per-tile kernel: which accumulator the paper's rule picked, run at
 /// which level. A pure function of run constants plus per-tile facts, so
 /// the observability replay re-derives exactly what the hot loop ran (same
-/// contract as the step-2 `resolve_kind` histogram).
+/// contract as the step-2 intersection-kernel histogram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kernel {
     /// Scalar sparse (rank-addressed) accumulator — the reference path.
@@ -132,7 +132,8 @@ pub enum Kernel {
 }
 
 /// Selects the kernel for a tile whose accumulator decision is `dense`
-/// (see [`crate::AccumulatorKind::use_dense`]) at the run's `level`.
+/// (`nnz > tnnz`, see [`crate::Config::tnnz_threshold`]) at the run's
+/// `level`.
 pub fn select_kernel(level: SimdLevel, dense: bool) -> Kernel {
     match (level != SimdLevel::Scalar, dense) {
         (false, false) => Kernel::SparseScalar,

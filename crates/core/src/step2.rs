@@ -14,9 +14,7 @@
 //! All state is a few `u16`s on the stack, honouring the paper's bound that
 //! step 2 never allocates global intermediate memory.
 
-use crate::intersect::{
-    intersect_bitmap, intersect_into, resolve_kind, IntersectionKind, MatchedPair,
-};
+use crate::intersect::{bitmap_word_range, intersect_binary_search, intersect_bitmap, MatchedPair};
 use tsg_matrix::{ListBitmaps, Scalar, TileColIndex, TileMatrix, TILE_DIM};
 
 /// The per-tile symbolic result.
@@ -31,53 +29,41 @@ pub struct TileSymbolic {
 }
 
 /// Finds the matched `(a_tile_id, b_tile_id)` pairs for output tile
-/// `(ti, tj)`, appending to `pairs` (cleared first).
+/// `(ti, tj)`: `a` contributes its tile row `ti`, `b_cols` (the column
+/// index of `B`) its tile column `tj`.
 ///
-/// `a` contributes its tile row `ti`; `b_cols` (the column index of `B`)
-/// contributes its tile column `tj`. Positions returned by the intersection
-/// are translated to flat tile ids.
-pub fn matched_pairs<T: Scalar>(
-    a: &TileMatrix<T>,
-    b_cols: &TileColIndex,
-    ti: usize,
-    tj: usize,
-    kind: IntersectionKind,
-    scratch: &mut Vec<MatchedPair>,
-    pairs: &mut Vec<(u32, u32)>,
-) {
-    matched_pairs_with(a, b_cols, ti, tj, kind, None, scratch, pairs);
-}
-
-/// [`matched_pairs`] with optional bitmap sidecars: `bitmaps` are the
-/// [`ListBitmaps`] of `A`'s tile rows and `B`'s tile columns (when the
-/// pipeline's footprint gate built them). The kind resolves per tile —
-/// `Adaptive` through the cost model, `Bitmap` degrading to binary search
-/// when the sidecars are absent — and the resolved concrete kind is
-/// returned for the chosen-kernel histogram. `scratch` is left holding the
-/// list-position pairs; `pairs` gets the translated flat tile ids.
-#[allow(clippy::too_many_arguments)]
+/// `bitmaps` are the [`ListBitmaps`] sidecars of `A`'s tile rows and `B`'s
+/// tile columns. When present the bitmap kernel runs over the words
+/// [`bitmap_word_range`] clips the two lists to; when absent, binary search
+/// runs. Both yield the same pairs in the same order. `scratch` is left
+/// holding the list-position pairs; `pairs` gets them translated to flat
+/// tile ids.
 pub fn matched_pairs_with<T: Scalar>(
     a: &TileMatrix<T>,
     b_cols: &TileColIndex,
     ti: usize,
     tj: usize,
-    kind: IntersectionKind,
     bitmaps: Option<(&ListBitmaps, &ListBitmaps)>,
     scratch: &mut Vec<MatchedPair>,
     pairs: &mut Vec<(u32, u32)>,
-) -> IntersectionKind {
+) {
     let a_base = a.tile_ptr[ti];
     let a_cols = a.tile_row_cols(ti);
     let (b_rows, b_ids) = b_cols.col(tj);
-    let words = bitmaps.map(|(am, _)| am.words_per_list());
-    let resolved = resolve_kind(kind, a_cols.len(), b_rows.len(), words);
-    if resolved == IntersectionKind::Bitmap {
-        let (am, bm) = bitmaps.expect("Bitmap only resolves with sidecars present");
-        let (aw, ar) = am.list(ti);
-        let (bw, br) = bm.list(tj);
-        intersect_bitmap(aw, ar, bw, br, scratch);
-    } else {
-        intersect_into(resolved, a_cols, b_rows, scratch);
+    match bitmaps {
+        Some((am, bm)) => {
+            let w = bitmap_word_range(a_cols, b_rows);
+            let (aw, ar) = am.list(ti);
+            let (bw, br) = bm.list(tj);
+            intersect_bitmap(
+                &aw[w.clone()],
+                &ar[w.clone()],
+                &bw[w.clone()],
+                &br[w],
+                scratch,
+            );
+        }
+        None => intersect_binary_search(a_cols, b_rows, scratch),
     }
     pairs.clear();
     pairs.extend(
@@ -85,7 +71,6 @@ pub fn matched_pairs_with<T: Scalar>(
             .iter()
             .map(|&(pa, pb)| ((a_base + pa as usize) as u32, b_ids[pb as usize])),
     );
-    resolved
 }
 
 /// Computes the symbolic tile `C_ij` from its matched pairs (Figure 5).
@@ -170,15 +155,7 @@ mod tests {
         let mut pairs = Vec::new();
         for ti in 0..2usize {
             for tj in 0..2usize {
-                matched_pairs(
-                    &a,
-                    &b_cols,
-                    ti,
-                    tj,
-                    IntersectionKind::BinarySearch,
-                    &mut scratch,
-                    &mut pairs,
-                );
+                matched_pairs_with(&a, &b_cols, ti, tj, None, &mut scratch, &mut pairs);
                 let sym = symbolic_tile(&a, &b, &pairs);
                 // Find the exact tile, if present.
                 let exact_nnz = c_exact
@@ -226,15 +203,7 @@ mod tests {
         let b_cols = b.col_index();
         let mut scratch = Vec::new();
         let mut pairs = Vec::new();
-        matched_pairs(
-            &a,
-            &b_cols,
-            0,
-            1,
-            IntersectionKind::BinarySearch,
-            &mut scratch,
-            &mut pairs,
-        );
+        matched_pairs_with(&a, &b_cols, 0, 1, None, &mut scratch, &mut pairs);
         assert_eq!(pairs.len(), 2);
         // First pair: A tile (0,0) id 0 with B tile (0,1) id 0.
         // Second: A tile (0,1) id 1 with B tile (1,1) id 1.
@@ -242,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn matched_pairs_with_bitmap_sidecars_matches_list_kernels() {
+    fn bitmap_sidecars_yield_the_binary_search_pairs() {
         let a = tiled(&[(0, 0), (0, 16), (16, 16)]);
         let b = tiled(&[(0, 16), (16, 16)]);
         let b_cols = b.col_index();
@@ -250,51 +219,57 @@ mod tests {
         let am = ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, a.tile_n);
         let bm = ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, b.tile_m);
         let (mut scratch, mut pairs) = (Vec::new(), Vec::new());
-        for kind in [
-            IntersectionKind::BinarySearch,
-            IntersectionKind::Merge,
-            IntersectionKind::Bitmap,
-            IntersectionKind::Adaptive,
-        ] {
-            for ti in 0..2usize {
-                for tj in 0..2usize {
-                    matched_pairs(
-                        &a,
-                        &b_cols,
-                        ti,
-                        tj,
-                        IntersectionKind::BinarySearch,
-                        &mut scratch,
-                        &mut pairs,
-                    );
-                    let want = pairs.clone();
-                    let resolved = matched_pairs_with(
-                        &a,
-                        &b_cols,
-                        ti,
-                        tj,
-                        kind,
-                        Some((&am, &bm)),
-                        &mut scratch,
-                        &mut pairs,
-                    );
-                    assert_eq!(pairs, want, "{kind:?} tile ({ti},{tj})");
-                    assert_ne!(resolved, IntersectionKind::Adaptive);
-                    // Without sidecars, Bitmap degrades but output is identical.
-                    let degraded = matched_pairs_with(
-                        &a,
-                        &b_cols,
-                        ti,
-                        tj,
-                        kind,
-                        None,
-                        &mut scratch,
-                        &mut pairs,
-                    );
-                    assert_eq!(pairs, want);
-                    assert_ne!(degraded, IntersectionKind::Bitmap);
-                }
+        for ti in 0..2usize {
+            for tj in 0..2usize {
+                matched_pairs_with(&a, &b_cols, ti, tj, None, &mut scratch, &mut pairs);
+                let want = pairs.clone();
+                matched_pairs_with(
+                    &a,
+                    &b_cols,
+                    ti,
+                    tj,
+                    Some((&am, &bm)),
+                    &mut scratch,
+                    &mut pairs,
+                );
+                assert_eq!(pairs, want, "tile ({ti},{tj})");
             }
         }
+    }
+
+    #[test]
+    fn disjoint_id_ranges_scan_no_words_and_yield_no_pairs() {
+        // A's tile row 0 holds tile columns {0, 1}; B's tile column 0 holds
+        // tile rows {130, 199}. The universe K = 200 tile ids spans 4 words,
+        // but the id ranges do not overlap, so the clipped scan is empty.
+        let k = 200 * TILE_DIM;
+        let mut coo = Coo::new(32, k);
+        coo.push(0, 0, 1.0);
+        coo.push(0, 16, 1.0);
+        let a = TileMatrix::from_csr(&coo.to_csr());
+        let mut coo = Coo::new(k, 32);
+        coo.push(130 * TILE_DIM as u32, 0, 1.0);
+        coo.push(k as u32 - 1, 0, 1.0);
+        let b = TileMatrix::<f64>::from_csr(&coo.to_csr());
+        let b_cols = b.col_index();
+        let (a_cols, b_rows) = (a.tile_row_cols(0), b_cols.col(0).0);
+        assert_eq!((a_cols, b_rows), (&[0, 1][..], &[130, 199][..]));
+        let words = crate::intersect::bitmap_word_range(a_cols, b_rows);
+        assert_eq!(words.len(), 0, "no word is scanned");
+
+        let am = ListBitmaps::from_csr(&a.tile_ptr, &a.tile_colidx, a.tile_n);
+        let bm = ListBitmaps::from_csr(&b_cols.colptr, &b_cols.rowidx, b.tile_m);
+        let mut scratch = vec![(7u32, 7u32)];
+        let mut pairs = vec![(7u32, 7u32)];
+        matched_pairs_with(
+            &a,
+            &b_cols,
+            0,
+            0,
+            Some((&am, &bm)),
+            &mut scratch,
+            &mut pairs,
+        );
+        assert!(scratch.is_empty() && pairs.is_empty());
     }
 }

@@ -1,8 +1,11 @@
 //! Step 3: per-tile numeric phase (§3.3, Algorithm 3).
 //!
 //! With `C`'s structure fixed by step 2, each task computes its tile's
-//! values. Two accumulators, selected adaptively by the tile's nonzero
-//! count against the threshold `tnnz` (the paper uses 192 = 75% of 256):
+//! values. Two accumulators, selected by the tile's nonzero count against
+//! the threshold `tnnz` ([`crate::Config::tnnz_threshold`]; the paper uses
+//! 192 = 75% of 256): dense iff `nnz > tnnz` or a mask trimmed the tile. So
+//! `tnnz = 0` sends every non-empty tile to the dense accumulator and
+//! `tnnz = TILE_AREA` every unmasked tile to the sparse one:
 //!
 //! * [`sparse accumulator`](numeric_tile_sparse) — for sparse output tiles:
 //!   each intermediate product `a(r,c) · b(c,k)` lands directly at its final
@@ -18,29 +21,6 @@
 //! because one task owns each output tile.
 
 use tsg_matrix::{Scalar, TileMatrix, TILE_AREA, TILE_DIM};
-
-/// Accumulator policy for step 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccumulatorKind {
-    /// Sparse for tiles with `nnz <= tnnz`, dense above (paper default).
-    Adaptive,
-    /// Always use the sparse (rank-indexed) accumulator.
-    AlwaysSparse,
-    /// Always use the dense 256-slot accumulator.
-    AlwaysDense,
-}
-
-impl AccumulatorKind {
-    /// Resolves the policy for a tile with `nnz` stored nonzeros.
-    #[inline]
-    pub fn use_dense(self, nnz: usize, tnnz: usize) -> bool {
-        match self {
-            AccumulatorKind::Adaptive => nnz > tnnz,
-            AccumulatorKind::AlwaysSparse => false,
-            AccumulatorKind::AlwaysDense => true,
-        }
-    }
-}
 
 /// Fills `row_idx`/`col_idx` for a tile from its row masks, in the
 /// `(row, col)` order the format stores. Returns the nonzero count.
@@ -218,15 +198,7 @@ mod tests {
         let b_cols = b.col_index();
         let mut scratch = Vec::new();
         let mut pairs = Vec::new();
-        crate::step2::matched_pairs(
-            &a,
-            &b_cols,
-            0,
-            0,
-            crate::IntersectionKind::BinarySearch,
-            &mut scratch,
-            &mut pairs,
-        );
+        crate::step2::matched_pairs_with(&a, &b_cols, 0, 0, None, &mut scratch, &mut pairs);
         assert_eq!(pairs.len(), 2);
         let sym = symbolic_tile(&a, &b, &pairs);
         assert_eq!(sym.nnz, 1);
@@ -236,14 +208,6 @@ mod tests {
         let mut vals_d = vec![0.0f64];
         numeric_tile_dense(&a, &b, &pairs, &sym.masks, &mut vals_d);
         assert_eq!(vals_d[0], 19.0);
-    }
-
-    #[test]
-    fn adaptive_policy_thresholds() {
-        assert!(!AccumulatorKind::Adaptive.use_dense(192, 192));
-        assert!(AccumulatorKind::Adaptive.use_dense(193, 192));
-        assert!(!AccumulatorKind::AlwaysSparse.use_dense(256, 192));
-        assert!(AccumulatorKind::AlwaysDense.use_dense(0, 192));
     }
 
     #[test]

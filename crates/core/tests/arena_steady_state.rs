@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use tilespgemm_core::step2::{matched_pairs_with, symbolic_tile};
 use tilespgemm_core::step3::{numeric_tile_dense, numeric_tile_sparse};
-use tilespgemm_core::IntersectionKind;
 use tsg_matrix::{Coo, ListBitmaps, TileMatrix};
 use tsg_runtime::{Scratch, ScratchPool};
 
@@ -71,14 +70,13 @@ fn hot_pass(
     let mut checksum = 0.0;
     for ti in 0..a.tile_m {
         for tj in 0..b.tile_n {
-            // Step 2: adaptive intersection + symbolic mask-OR, staged
+            // Step 2: bitmap intersection + symbolic mask-OR, staged
             // through the arena's pair lists.
             matched_pairs_with(
                 a,
                 b_cols,
                 ti,
                 tj,
-                IntersectionKind::Adaptive,
                 Some(bitmaps),
                 &mut s.pos_pairs,
                 &mut s.id_pairs,
@@ -94,7 +92,6 @@ fn hot_pass(
                 b_cols,
                 ti,
                 tj,
-                IntersectionKind::Adaptive,
                 Some(bitmaps),
                 &mut s.pos_pairs,
                 &mut s.id_pairs,

@@ -3,10 +3,10 @@
 //! [`SimdPolicy::Auto`] must reproduce the forced-scalar product *bit for
 //! bit* — the vector kernels keep the scalar per-slot addition order (no
 //! FMA, lane blending; see the `simd` module docs), so this is an exact
-//! contract, not a tolerance. Every case runs under the paper's adaptive
-//! accumulator and again with every tile on the dense accumulator, so the
-//! vector dense micro-kernel sees each shape. The cases aim at the spots
-//! where a lane kernel would first go wrong:
+//! contract, not a tolerance. Every case runs at the paper's `tnnz` = 192
+//! and again at `tnnz` = 0, which puts every non-empty tile on the dense
+//! accumulator, so the vector dense micro-kernel sees each shape. The cases
+//! aim at the spots where a lane kernel would first go wrong:
 //!
 //! * an all-dense 16×16 tile (every lane selected, full strips);
 //! * a single-entry tile (one lane selected, everything else blended off);
@@ -18,14 +18,14 @@
 //!   thread pool and pinned to one rayon thread.
 
 use proptest::prelude::*;
-use tilespgemm_core::{multiply_csr, AccumulatorKind, Config, Output, SimdPolicy};
+use tilespgemm_core::{multiply_csr, Config, Output, SimdPolicy};
 use tsg_matrix::{Coo, Csr, TILE_DIM};
 
-const ACCUMULATORS: [AccumulatorKind; 2] =
-    [AccumulatorKind::Adaptive, AccumulatorKind::AlwaysDense];
+/// The paper's threshold, and 0: every non-empty tile dense.
+const TNNZ: [usize; 2] = [192, 0];
 
-fn run(a: &Csr<f64>, b: &Csr<f64>, policy: SimdPolicy, acc: AccumulatorKind) -> Output<f64> {
-    let cfg = Config::builder().simd(policy).accumulator(acc).build();
+fn run(a: &Csr<f64>, b: &Csr<f64>, policy: SimdPolicy, tnnz: usize) -> Output<f64> {
+    let cfg = Config::builder().simd(policy).tnnz_threshold(tnnz).build();
     multiply_csr(a, b, &cfg, &tsg_runtime::MemTracker::new()).expect("multiply succeeds")
 }
 
@@ -33,16 +33,16 @@ fn run(a: &Csr<f64>, b: &Csr<f64>, policy: SimdPolicy, acc: AccumulatorKind) -> 
 /// `-0.0 == 0.0` and any NaN as unequal, so the sign-of-zero cases compare
 /// the raw representations.
 fn assert_bitwise(name: &str, a: &Csr<f64>, b: &Csr<f64>) {
-    for acc in ACCUMULATORS {
-        let pivot = run(a, b, SimdPolicy::ForceScalar, acc);
-        let out = run(a, b, SimdPolicy::Auto, acc);
+    for tnnz in TNNZ {
+        let pivot = run(a, b, SimdPolicy::ForceScalar, tnnz);
+        let out = run(a, b, SimdPolicy::Auto, tnnz);
         assert_eq!(
             pivot.c.masks, out.c.masks,
-            "{name}/{acc:?}: structure diverged"
+            "{name}/tnnz={tnnz}: structure diverged"
         );
         let pb: Vec<u64> = pivot.c.vals.iter().map(|v| v.to_bits()).collect();
         let ob: Vec<u64> = out.c.vals.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(pb, ob, "{name}/{acc:?}: values are not bit-identical");
+        assert_eq!(pb, ob, "{name}/tnnz={tnnz}: values are not bit-identical");
     }
 }
 
@@ -93,11 +93,11 @@ fn cancellation_to_stored_zero_is_bitwise_equal() {
     }
     let b = coo.to_csr();
     assert_bitwise("cancellation", &a, &b);
-    for acc in ACCUMULATORS {
-        let out = run(&a, &b, SimdPolicy::Auto, acc);
+    for tnnz in TNNZ {
+        let out = run(&a, &b, SimdPolicy::Auto, tnnz);
         assert!(
             out.c.vals.iter().all(|v| v.to_bits() == 0.0f64.to_bits()),
-            "{acc:?}: the cancelled row stores exact +0.0"
+            "tnnz={tnnz}: the cancelled row stores exact +0.0"
         );
     }
 }

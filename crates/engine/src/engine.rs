@@ -995,6 +995,11 @@ fn run_job(shared: &Shared, job: QueuedJob) {
         return;
     }
 
+    // Failpoint gate `engine.job_start`: while a test keeps it paused the
+    // job holds its worker here, so the test decides when it may finish.
+    #[cfg(feature = "failpoints")]
+    tsg_runtime::failpoint::gate("engine.job_start");
+
     let exec_start = Instant::now();
     let recorder = &*shared.recorder;
     // Operand resolution gets its own span per operand (a sibling of the

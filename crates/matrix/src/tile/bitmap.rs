@@ -60,11 +60,6 @@ impl ListBitmaps {
         }
     }
 
-    /// Words each list occupies.
-    pub fn words_per_list(&self) -> usize {
-        self.words_per_list
-    }
-
     /// Lists covered.
     pub fn len(&self) -> usize {
         self.n_lists
@@ -129,7 +124,7 @@ mod tests {
         let lists: &[&[u32]] = &[&[0, 3, 63, 64, 127, 200], &[], &[199], &[0, 1, 2, 3]];
         let bm = csr(lists, 201);
         assert_eq!(bm.len(), 4);
-        assert_eq!(bm.words_per_list(), 4);
+        assert_eq!(bm.list(0).0.len(), 4);
         for (l, list) in lists.iter().enumerate() {
             let got = members(&bm, l);
             let want: Vec<(u32, u32)> = list

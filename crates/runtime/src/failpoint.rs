@@ -10,7 +10,9 @@
 //! Sites call [`should_fail`] with their stable name; tests call [`arm`] to
 //! schedule failures and [`exclusive`] to serialize themselves against other
 //! failpoint tests (the registry is process-global, and `cargo test` runs
-//! tests on multiple threads).
+//! tests on multiple threads). A *gate* site calls [`gate`] instead, which
+//! holds the calling thread while a test keeps that name [`pause`]d — so a
+//! test decides when, say, a running job may finish.
 //!
 //! The failpoint catalog — every name compiled into the workspace — is
 //! documented in DESIGN.md §10.3.
@@ -26,9 +28,9 @@
 //! assert!(!failpoint::should_fail("tracker.alloc")); // budget spent
 //! ```
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// One armed site: fail the hits in `(skip, skip + times]`.
 #[derive(Debug, Clone, Copy)]
@@ -81,11 +83,55 @@ pub fn clear(name: &str) {
     }
 }
 
-/// Disarms every site.
+/// Disarms every site and opens every paused gate.
 pub fn clear_all() {
     let mut map = lock();
     ARMED.fetch_sub(map.len(), Ordering::Relaxed);
     map.clear();
+    let (paused, opened) = gates();
+    paused
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .clear();
+    opened.notify_all();
+}
+
+/// Paused gate names, and the condvar [`gate`] waits on.
+fn gates() -> &'static (Mutex<HashSet<String>>, Condvar) {
+    static GATES: OnceLock<(Mutex<HashSet<String>>, Condvar)> = OnceLock::new();
+    GATES.get_or_init(|| (Mutex::new(HashSet::new()), Condvar::new()))
+}
+
+/// Closes the gate `name`: threads reaching [`gate`]`(name)` block until
+/// [`resume`]`(name)` or [`clear_all`] (which the [`exclusive`] guard runs
+/// on drop, so a failing test cannot leave a thread parked).
+pub fn pause(name: &str) {
+    gates()
+        .0
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .insert(name.to_string());
+}
+
+/// Opens the gate `name`, releasing every thread held there.
+pub fn resume(name: &str) {
+    let (paused, opened) = gates();
+    paused
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .remove(name);
+    opened.notify_all();
+}
+
+/// Called by instrumented production code at a gate site: returns at once
+/// unless a test has [`pause`]d `name`, and otherwise blocks until it is
+/// resumed.
+pub fn gate(name: &str) {
+    let (paused, opened) = gates();
+    let mut set = paused.lock().unwrap_or_else(PoisonError::into_inner);
+    while set.contains(name) {
+        set = opened.wait(set).unwrap_or_else(PoisonError::into_inner);
+    }
 }
 
 /// Hits observed at `name` since it was armed (0 when not armed). Lets a
@@ -159,6 +205,26 @@ mod tests {
         assert!(should_fail("unit.a"));
         clear("unit.a");
         assert!(!should_fail("unit.a"));
+    }
+
+    #[test]
+    fn gates_hold_threads_until_resumed() {
+        let _x = exclusive();
+        gate("unit.gate"); // never paused: passes straight through
+        pause("unit.gate");
+        let passed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let waiter = {
+            let passed = passed.clone();
+            std::thread::spawn(move || {
+                gate("unit.gate");
+                passed.store(true, Ordering::SeqCst);
+            })
+        };
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!passed.load(Ordering::SeqCst), "the paused gate holds");
+        resume("unit.gate");
+        waiter.join().unwrap();
+        assert!(passed.load(Ordering::SeqCst));
     }
 
     #[test]

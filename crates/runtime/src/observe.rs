@@ -46,8 +46,9 @@ pub enum Counter {
     /// summed over all output tiles.
     MatchedPairs,
     /// Set-intersection lookups issued: for binary search, one per element
-    /// of the shorter tile list; for merge, one per pointer advance bound
-    /// (`|a| + |b|`). A cheap, deterministic proxy for intersection work.
+    /// of the shorter tile list; for the bitmap kernel, one per sidecar word
+    /// of its clipped scan range. A cheap, deterministic proxy for
+    /// intersection work.
     IntersectionProbes,
     /// Step-3 tiles accumulated through the rank-based sparse accumulator.
     SparseAccPicks,
@@ -58,14 +59,12 @@ pub enum Counter {
     BytesAlloc,
     /// Bytes credited back to the device through an attached tracker.
     BytesFreed,
-    /// Output tiles whose intersection resolved to the binary-search kernel
-    /// (the chosen-kernel histogram of `IntersectionKind::Adaptive`; fixed
-    /// kinds also report here so the three picks always sum to the visited
-    /// tiles).
+    /// Output tiles intersected by binary search: every tile of a multiply
+    /// that runs without bitmap sidecars (the `BinarySearch` kind, or the
+    /// sidecars over their footprint cap). The two picks sum to the visited
+    /// tiles.
     IsectBinaryPicks,
-    /// Output tiles whose intersection resolved to the merge kernel.
-    IsectMergePicks,
-    /// Output tiles whose intersection resolved to the bitmap kernel.
+    /// Output tiles intersected by the bitmap kernel.
     IsectBitmapPicks,
     /// Completed jobs whose measured peak was ≤ ¼ of the admission estimate
     /// (log₂(peak/est) ≤ −2: the estimator over-predicted by 4× or more).
@@ -123,7 +122,7 @@ pub enum Counter {
 
 /// Number of counter slots. Kept in sync with [`Counter`]; new counters are
 /// appended (the enum is `#[non_exhaustive]`).
-pub const COUNTER_COUNT: usize = 28;
+pub const COUNTER_COUNT: usize = 27;
 
 /// Every counter, in slot order, with its snake_case wire name.
 pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
@@ -135,7 +134,6 @@ pub const COUNTERS: [(Counter, &str); COUNTER_COUNT] = [
     (Counter::BytesAlloc, "bytes_alloc"),
     (Counter::BytesFreed, "bytes_freed"),
     (Counter::IsectBinaryPicks, "isect_binary_picks"),
-    (Counter::IsectMergePicks, "isect_merge_picks"),
     (Counter::IsectBitmapPicks, "isect_bitmap_picks"),
     (Counter::EstErrLeQuarter, "est_err_le_quarter"),
     (Counter::EstErrHalf, "est_err_half"),

@@ -5,16 +5,20 @@
 //! session as if it were draining, and `serve.backpressure_wait` expires
 //! the bounded submission hold immediately so the hint path fires on an
 //! otherwise empty queue. Both tests assert the refusal is clean — the
-//! same call succeeds the moment the failpoint disarms.
+//! same call succeeds the moment the failpoint disarms. The engine's
+//! `engine.job_start` gate pins the only worker on a job for exactly as
+//! long as a test needs a full queue.
 
 #![cfg(feature = "failpoints")]
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use tsg_engine::json::{parse, Value};
 use tsg_engine::{Engine, EngineConfig};
+use tsg_gen::suite::GenSpec;
 use tsg_matrix::Csr;
-use tsg_runtime::failpoint;
+use tsg_runtime::{failpoint, Device};
 use tsg_serve::{SchedConfig, Scheduler, ServeSession, Submission, SubmitError, SubmitSpec};
 
 fn scheduler() -> Scheduler {
@@ -109,4 +113,80 @@ fn backpressure_wait_failpoint_forces_a_hint_on_an_empty_queue() {
     };
     tickets[0].wait().expect("retried job completes");
     assert_eq!(sched.stats().backpressure_hints, 1, "no further hints");
+}
+
+#[test]
+fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
+    let _x = failpoint::exclusive();
+    let mut device = Device::rtx3090_sim();
+    device.mem_budget = usize::MAX;
+    let engine = Engine::new(EngineConfig {
+        device,
+        workers: 1,
+        queue_depth: 1,
+        ..EngineConfig::default()
+    });
+    let sched = Scheduler::new(
+        Arc::new(engine),
+        SchedConfig {
+            backpressure_wait: Duration::from_millis(5),
+            ..SchedConfig::default()
+        },
+    );
+    let sid = sched.open_session("pressured", 1.0, Some(1)).unwrap();
+    let banded = GenSpec::Banded {
+        n: 2048,
+        bandwidth: 24,
+        per_row: 12,
+        seed: 3,
+    };
+    let (blocker, _) = sched.engine().register(banded.build());
+    let (small, _) = sched.engine().register(Csr::<f64>::identity(64));
+
+    // The blocker holds the only worker at the job-start gate until the
+    // test resumes it, however fast its product would run.
+    failpoint::pause("engine.job_start");
+    let Submission::Queued(head) = sched
+        .submit(sid, vec![SubmitSpec::new(blocker, blocker)])
+        .unwrap()
+    else {
+        panic!("empty queue must accept")
+    };
+    // Wait until the blocker leaves the session queue for the engine, so
+    // the depth-1 queue is empty again.
+    while sched.stats().in_flight == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let Submission::Queued(second) = sched
+        .submit(sid, vec![SubmitSpec::new(small, small)])
+        .unwrap()
+    else {
+        panic!("the emptied queue must accept one job")
+    };
+    // The queue (depth 1) is full and the blocker pins the worker: this
+    // submission is held briefly, then answered with a hint — not dropped,
+    // not an engine queue_full.
+    let Submission::Backpressure(hint) = sched
+        .submit(sid, vec![SubmitSpec::new(small, small)])
+        .unwrap()
+    else {
+        panic!("a full session queue must answer with backpressure")
+    };
+    assert_eq!(hint.queue_position, 1);
+    assert!(hint.retry_after >= Duration::from_millis(1));
+    assert_eq!(sched.stats().backpressure_hints, 1);
+
+    // Resubmitting after the backlog drains succeeds: nothing was lost.
+    failpoint::resume("engine.job_start");
+    for t in head.iter().chain(&second) {
+        t.wait().unwrap();
+    }
+    let Submission::Queued(third) = sched
+        .submit(sid, vec![SubmitSpec::new(small, small)])
+        .unwrap()
+    else {
+        panic!("the drained queue must accept the retry")
+    };
+    third[0].wait().unwrap();
+    assert_eq!(sched.engine().stats().shed, 0, "the engine never sheds");
 }

@@ -1,5 +1,6 @@
-//! Scheduler behaviour: weighted-fair interleaving, backpressure instead of
-//! shedding, deferred admission, batch dependencies, cancellation, drain.
+//! Scheduler behaviour: weighted-fair interleaving, deferred admission,
+//! batch dependencies, cancellation, drain. The full-queue backpressure
+//! test lives in `tests/failpoints.rs`, where a gate pins the worker.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -133,70 +134,6 @@ fn weights_bias_the_dispatch_ratio() {
     let first_six = &log[1..7];
     let heavy = first_six.iter().filter(|(sid, _)| *sid == s1).count();
     assert_eq!(heavy, 4, "dispatch log {log:?}");
-}
-
-#[test]
-fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
-    let mut device = Device::rtx3090_sim();
-    device.mem_budget = usize::MAX;
-    let engine = Engine::new(EngineConfig {
-        device,
-        workers: 1,
-        queue_depth: 1,
-        ..EngineConfig::default()
-    });
-    let sched = Scheduler::new(
-        Arc::new(engine),
-        SchedConfig {
-            backpressure_wait: Duration::from_millis(5),
-            ..SchedConfig::default()
-        },
-    );
-    let sid = sched.open_session("pressured", 1.0, Some(1)).unwrap();
-    let (blocker, _) = sched.engine().register(banded(2048, 24, 12));
-    let (small, _) = sched.engine().register(Csr::<f64>::identity(64));
-
-    let Submission::Queued(head) = sched
-        .submit(sid, vec![SubmitSpec::new(blocker, blocker)])
-        .unwrap()
-    else {
-        panic!("empty queue must accept")
-    };
-    // Wait until the blocker leaves the session queue for the engine, so
-    // the depth-1 queue is empty again.
-    while sched.stats().in_flight == 0 {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let Submission::Queued(second) = sched
-        .submit(sid, vec![SubmitSpec::new(small, small)])
-        .unwrap()
-    else {
-        panic!("the emptied queue must accept one job")
-    };
-    // The queue (depth 1) is full and the blocker pins the worker: this
-    // submission is held briefly, then answered with a hint — not dropped,
-    // not an engine queue_full.
-    let Submission::Backpressure(hint) = sched
-        .submit(sid, vec![SubmitSpec::new(small, small)])
-        .unwrap()
-    else {
-        panic!("a full session queue must answer with backpressure")
-    };
-    assert_eq!(hint.queue_position, 1);
-    assert!(hint.retry_after >= Duration::from_millis(1));
-    assert_eq!(sched.stats().backpressure_hints, 1);
-
-    // Resubmitting after the backlog drains succeeds: nothing was lost.
-    wait_all(&head);
-    wait_all(&second);
-    let Submission::Queued(third) = sched
-        .submit(sid, vec![SubmitSpec::new(small, small)])
-        .unwrap()
-    else {
-        panic!("the drained queue must accept the retry")
-    };
-    wait_all(&third);
-    assert_eq!(sched.engine().stats().shed, 0, "the engine never sheds");
 }
 
 #[test]

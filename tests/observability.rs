@@ -72,12 +72,12 @@ fn matched_pairs_equal_the_recomputed_intersections() {
         let mut total = 0usize;
         for ti in 0..out.c.tile_m {
             for &tj in out.c.tile_row_cols(ti) {
-                tilespgemm::core::step2::matched_pairs(
+                tilespgemm::core::step2::matched_pairs_with(
                     &ta,
                     &b_cols,
                     ti,
                     tj as usize,
-                    tilespgemm::core::IntersectionKind::BinarySearch,
+                    None,
                     &mut scratch,
                     &mut pairs,
                 );
@@ -108,9 +108,9 @@ fn accumulator_picks_partition_the_output_tiles() {
             out.c.tile_count(),
             "{name}: sparse + dense picks cover each tile exactly once"
         );
-        // Under the adaptive default the bitmap kernel's cost proxy (its
-        // fixed word count) may undercut the match count, so the classic
-        // probe bound is pinned on the paper-faithful kernel.
+        // Under the bitmap default one probe (a sidecar word) can find up to
+        // 64 matches, so the classic probe bound is pinned on the
+        // paper-faithful kernel.
         let bsearch = Config::builder()
             .intersection(tilespgemm::core::IntersectionKind::BinarySearch)
             .build();
@@ -244,7 +244,7 @@ fn profiled_masked_square(
 
 #[test]
 fn masked_products_report_spans_counters_and_bytes_like_plain_ones() {
-    use tilespgemm::core::step2::{matched_pairs, symbolic_tile};
+    use tilespgemm::core::step2::{matched_pairs_with, symbolic_tile};
     use tilespgemm::runtime::{Scratch, ScratchPool};
 
     for (name, ta) in fixtures() {
@@ -274,12 +274,12 @@ fn masked_products_report_spans_counters_and_bytes_like_plain_ones() {
         let (mut want_dense, mut trimmed_tiles) = (0u64, 0usize);
         for ti in 0..tm.tile_m {
             for (t, &tj) in tm.tile_row_range(ti).zip(tm.tile_row_cols(ti)) {
-                matched_pairs(
+                matched_pairs_with(
                     &ta,
                     &b_cols,
                     ti,
                     tj as usize,
-                    tilespgemm::core::IntersectionKind::BinarySearch,
+                    None,
                     &mut scratch,
                     &mut pairs,
                 );
