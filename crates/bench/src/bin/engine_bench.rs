@@ -1,21 +1,20 @@
 //! Service-level benchmark of the serving stack (`tsg-serve` over
 //! `tsg-engine`): a mixed 20-job burst fired through a scheduler session at
-//! an engine with a deliberately constrained device budget and queue depth.
+//! an engine with a deliberately constrained device budget and two workers.
 //!
-//! The burst is the same shape the engine-only bench used to shed most of:
-//! under the scheduler nothing is dropped. A full session queue answers
+//! Under the scheduler nothing is dropped: a full session queue answers
 //! with a backpressure hint (the bench resubmits, as a client would). The
 //! big `DxD` product — whose old constant-compression estimate overflowed
 //! the budget and forced deferred-solo admission — is now admitted
 //! directly: the sampled symbolic estimator measures its compression and
 //! its band-upper bound fits. Deferred admission stays wired in as the
 //! backstop but this burst never trips it. The headline is therefore
-//! throughput (`jobs_per_s`) at a zero shed rate and zero deferrals.
+//! throughput (`jobs_per_s`) with every job completed and zero deferrals.
 //!
 //! Writes `BENCH_engine.json` at the workspace root: per-job queue wait,
 //! execution wall time, per-step breakdown, cache hits/conversions, the
-//! engine's final statistics (cache hit rate, evictions, shed/rejected
-//! counts — both zero by construction), the scheduler's statistics
+//! engine's final statistics (cache hit rate, evictions, the rejected
+//! count — zero by construction), the scheduler's statistics
 //! (hints, deferrals, queue high-water), the observability counter totals
 //! (including the `est_err_*` estimator-accuracy buckets, one tick per
 //! completed multiply — plain or masked — and the `est_sample_*` sampler
@@ -121,8 +120,8 @@ fn main() {
     // A 3060-class device with its budget squeezed to the point where the
     // old constant-compression estimate of the largest product overflowed
     // it (the deferred-admission case). The sampled estimator's band-upper
-    // bound fits, so the same job now admits directly; a shallow engine
-    // queue still overflows the burst into the session queue so the
+    // bound fits, so the same job now admits directly; two workers drain
+    // the burst slower than it arrives, so the session queue fills and the
     // backpressure path fires.
     let mut device = Device::rtx3060_sim();
     device.mem_budget = 80 << 20;
@@ -130,8 +129,6 @@ fn main() {
         cache_bytes: 8 << 20,
         device,
         workers: 2,
-        queue_depth: 5,
-        default_timeout: None,
         base_config: Default::default(),
         profile: true,
         sample_rate: tilespgemm_core::sample::DEFAULT_SAMPLE_RATE,
@@ -178,7 +175,7 @@ fn main() {
     // The burst: 20 jobs pushed through the session back-to-back. A full
     // queue answers with a hint and the bench resubmits after the named
     // delay — exactly the client contract — so every job is eventually
-    // admitted and nothing sheds.
+    // admitted and nothing is dropped.
     let workload: [(&'static str, MatrixId, MatrixId); 5] = [
         ("AxA", a, a),
         ("AxB", a, b),
@@ -411,7 +408,6 @@ fn main() {
         triangles_baseline = tsg_matrix::ops::sum_all(&had) / 6.0;
     }
     let triangles = tsg_matrix::ops::sum_all(&masked.c.to_csr()) / 6.0;
-    expr.shutdown();
     println!(
         "chained A*B*C: {chain_ms:.2}ms handle-to-handle vs {roundtrip_ms:.2}ms round-trip \
          ({:.2}x); A^{POWER_K}: {power_ms:.2}ms vs {power_rt_ms:.2}ms ({:.2}x); \
@@ -428,11 +424,6 @@ fn main() {
     };
     let completed = rows.iter().filter(|r| r.outcome == "completed").count();
     let jobs_per_s = completed as f64 / wall.as_secs_f64();
-    let shed_rate = if s.submitted > 0 {
-        s.shed as f64 / s.submitted as f64
-    } else {
-        0.0
-    };
     let est_err_total: u64 = metrics
         .iter()
         .filter(|(_, name, _)| name.starts_with("est_err_"))
@@ -440,12 +431,10 @@ fn main() {
         .sum();
     println!(
         "{} jobs in {:.2}s: {completed} completed ({jobs_per_s:.2} jobs/s), \
-         {} rejected, {} shed (shed rate {shed_rate:.2}), {hints} hints, \
-         {} deferred; cache hit rate {:.2}",
+         {} rejected, {hints} hints, {} deferred; cache hit rate {:.2}",
         rows.len(),
         wall.as_secs_f64(),
         s.rejected,
-        s.shed,
         serve.deferred,
         hit_rate
     );
@@ -458,25 +447,19 @@ fn main() {
                 ("budget_bytes", engine.device().mem_budget.into()),
                 ("cache_bytes", (8usize << 20).into()),
                 ("workers", 2u64.into()),
-                ("queue_depth", 5u64.into()),
                 ("session_depth", 8u64.into()),
                 ("jobs_submitted", 20u64.into()),
             ]),
         ),
         ("jobs_per_s", Value::Num(jobs_per_s)),
         ("wall_s", Value::Num(wall.as_secs_f64())),
-        ("shed_rate", Value::Num(shed_rate)),
         ("jobs", Value::Arr(rows.iter().map(row_to_json).collect())),
         (
             "stats",
             obj([
-                ("submitted", s.submitted.into()),
-                ("admitted", s.admitted.into()),
                 ("completed", s.completed.into()),
                 ("failed", s.failed.into()),
                 ("rejected", s.rejected.into()),
-                ("shed", s.shed.into()),
-                ("timed_out", s.timed_out.into()),
                 (
                     "queue_wait_ms_total",
                     Value::Num(s.queue_wait_total.as_secs_f64() * 1e3),
@@ -553,7 +536,6 @@ fn main() {
         "reservation-gated admission completes the whole burst the engine \
          used to shed"
     );
-    assert_eq!(s.shed, 0, "backpressure replaced queue-full shedding");
     assert_eq!(
         s.rejected, 0,
         "deferred admission replaced up-front rejection"

@@ -121,7 +121,6 @@ fn engine_job_survives_device_oom() {
         .multiply_now(JobSpec::new(ida, idb))
         .expect("engine keeps serving after a failed job");
     assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// The cache refuses to account a conversion: the registry serves it
@@ -140,7 +139,6 @@ fn cache_alloc_failure_falls_back_to_uncached_conversion() {
 
     let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
     assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// Every cached conversion vanishes between admission and resolve (the
@@ -169,33 +167,11 @@ fn eviction_race_reconverts_and_completes() {
         &ValuePolicy::default(),
     )
     .unwrap();
-    engine.shutdown();
-}
-
-/// Backpressure shedding: a full queue rejects with the stable
-/// `queue_full` code, counts the shed, and the next submission sails.
-#[test]
-fn queue_full_sheds_and_recovers() {
-    let _x = failpoint::exclusive();
-    let engine = Engine::new(EngineConfig::default());
-    let (a, _) = operands();
-    let (id, _) = engine.register(a);
-
-    failpoint::arm("engine.queue_full", 0, 1);
-    let err = engine
-        .submit(JobSpec::new(id, id))
-        .expect_err("armed submission is shed");
-    assert_eq!(err.code(), "queue_full");
-    assert_eq!(engine.stats().shed, 1);
-
-    let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
-    assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// An operand disappearing between admission and execution (the
-/// unregister race): the job fails with `unknown_matrix`, the worker loop
-/// survives, and the engine completes the next job.
+/// unregister race): the job fails with `unknown_matrix` and the engine
+/// completes the next job.
 #[test]
 fn resolve_race_fails_job_but_not_the_worker() {
     let _x = failpoint::exclusive();
@@ -212,7 +188,6 @@ fn resolve_race_fails_job_but_not_the_worker() {
 
     let report = engine.multiply_now(JobSpec::new(id, id)).unwrap();
     assert!(report.nnz_c > 0);
-    engine.shutdown();
 }
 
 /// The registry refuses to take a chain's intermediate product (the
@@ -253,7 +228,6 @@ fn chain_intermediate_registration_failure_degrades_gracefully() {
         .multiply_now(JobSpec::chain([ida, idb, idb]))
         .unwrap();
     assert_eq!(report.intermediates.len(), 1);
-    engine.shutdown();
 }
 
 /// A request frame truncated in transit parses as garbage: the session
@@ -274,7 +248,6 @@ fn truncated_frame_is_bad_request_and_session_survives() {
         !resp.contains("\"error\""),
         "session must keep serving: {resp}"
     );
-    session.engine().shutdown();
 }
 
 /// A frame over the 16 MiB limit — injected, so the harness does not ship
@@ -295,7 +268,6 @@ fn oversized_frame_is_refused_and_session_survives() {
         !resp.contains("\"error\""),
         "session must keep serving: {resp}"
     );
-    session.engine().shutdown();
 }
 
 /// The sampled admission estimator "fails" (`engine.estimate_sample`): the
@@ -325,7 +297,7 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
         "both paths count exact flops from the CSR forms"
     );
 
-    // Armed again for the submit path: the job is admitted under the
+    // Armed again for the job's own estimate: the job is admitted under the
     // fallback estimate and completes. Degraded estimation must never
     // reject a job the default budget admits.
     failpoint::arm("engine.estimate_sample", 0, 1);
@@ -339,7 +311,6 @@ fn estimate_sample_failure_falls_back_to_upper_bound_and_still_admits() {
     // Disarmed, sampling resumes.
     let again = engine.estimate(ida, idb).expect("estimate");
     assert!(again.sample.is_some());
-    engine.shutdown();
 }
 
 /// The `core.simd_dispatch` failpoint forces the whole multiply down the

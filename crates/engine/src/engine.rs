@@ -1,34 +1,32 @@
-//! The resident engine: admission-controlled job queue + worker executor.
+//! The resident engine: a matrix registry plus a synchronous job executor.
 //!
 //! One [`Engine`] owns a simulated [`Device`], a shared [`MemTracker`]
-//! enforcing the device budget across *all* in-flight products (PR 1's
-//! tracker only ever guarded one), a [`Registry`] of loaded matrices with
-//! cached tiled conversions, and a pool of worker threads executing multiply
-//! jobs on the memoized per-device Rayon pool
-//! ([`tsg_runtime::device::pool_for`]).
+//! enforcing the device budget across *all* in-flight products, a
+//! [`Registry`] of loaded matrices with cached tiled conversions, and the
+//! scratch arenas jobs reuse. It has no queue and spawns no thread: a job
+//! runs on the thread that calls [`Engine::execute`], over the memoized
+//! per-device Rayon pool ([`tsg_runtime::device::pool_for`]). Queueing,
+//! fairness, admission against free memory, cancellation and queue-wait
+//! deadlines belong to the caller — in this workspace the `tsg-serve`
+//! scheduler, whose workers are the only threads that execute jobs.
 //!
 //! Job lifecycle:
 //!
-//! 1. [`Engine::submit`] — admission control. Unknown operands, a cost
-//!    prediction ([`crate::estimate`]) exceeding the device budget, or a
-//!    full queue reject the job *synchronously* with a typed error, so
-//!    callers get explicit backpressure instead of unbounded queueing.
-//! 2. A worker pops the job (FIFO), checks cancellation and the queue-wait
-//!    deadline, resolves both operands through the registry (cache hit or
-//!    conversion), and runs the tiled pipeline on the device pool under the
-//!    shared tracker.
-//! 3. The result — a [`JobReport`] or an [`EngineError`] — is published on
-//!    the job's [`JobTicket`]; [`JobTicket::wait`] blocks until then.
+//! 1. [`Engine::next_job`] issues the job id. Every job the engine runs
+//!    draws from this one counter, so a reply's `job` keys its profile row.
+//! 2. [`Engine::estimate_op`] predicts the cost ([`crate::estimate`]) and
+//!    validates the operands' shapes.
+//! 3. [`Engine::execute`] resolves the operands through the registry (cache
+//!    hit or conversion) and runs the tiled pipeline under the shared
+//!    tracker, returning a [`JobReport`] or an [`EngineError`].
 //!
-//! Timeouts bound *queue wait*, not execution: a job popped after its
-//! deadline completes as `timed_out` without running. A running multiply is
-//! not interruptible (matching the kernels it models); cancellation is
-//! therefore only honoured while a job is still queued.
+//! [`Engine::multiply_now`] is the three steps on the caller's thread, with
+//! the one admission check a queue-less caller needs: an estimate over the
+//! whole device budget is rejected up front. A running multiply is not
+//! interruptible (matching the kernels it models).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use tilespgemm_core::{multiply_with_pool, Config, SpGemmError};
@@ -51,14 +49,12 @@ pub struct EngineConfig {
     /// The simulated device jobs execute on; its `mem_budget` is the shared
     /// in-flight budget.
     pub device: Device,
-    /// Worker threads executing jobs (each installs the device pool).
+    /// Jobs executed concurrently. The engine itself spawns no thread; a
+    /// front end runs this many executors (the `tsg-serve` scheduler spawns
+    /// one worker each).
     pub workers: usize,
-    /// Maximum queued (not yet running) jobs before submissions are shed.
-    pub queue_depth: usize,
     /// Byte budget for cached tiled conversions in the registry.
     pub cache_bytes: usize,
-    /// Deadline applied to jobs that do not carry their own timeout.
-    pub default_timeout: Option<Duration>,
     /// Pipeline configuration jobs run with unless they override it.
     pub base_config: Config,
     /// Record per-job span trees and counters into a
@@ -82,8 +78,6 @@ impl Default for EngineConfig {
             cache_bytes: device.mem_budget / 2,
             device,
             workers: 1,
-            queue_depth: 32,
-            default_timeout: None,
             base_config: Config::default(),
             profile: false,
             sample_rate: tilespgemm_core::sample::DEFAULT_SAMPLE_RATE,
@@ -192,18 +186,11 @@ impl OpSpec {
     }
 }
 
-/// One job request: an [`OpSpec`] expression plus scheduling knobs.
+/// One job request: the [`OpSpec`] expression to evaluate.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The operation to evaluate.
     pub op: OpSpec,
-    /// Queue-wait deadline override; `None` uses the engine default.
-    pub timeout: Option<Duration>,
-    /// Skip the synchronous estimate-vs-budget rejection. Set by schedulers
-    /// that run their own admission (deferred admission dispatches a parked
-    /// job solo once resident memory frees, accepting that the mid-flight
-    /// tracker is the backstop if the estimate was still too optimistic).
-    pub admit_over_budget: bool,
 }
 
 impl JobSpec {
@@ -218,11 +205,7 @@ impl JobSpec {
 
     /// A job running an arbitrary op expression with engine defaults.
     pub fn of(op: OpSpec) -> Self {
-        JobSpec {
-            op,
-            timeout: None,
-            admit_over_budget: false,
-        }
+        JobSpec { op }
     }
 
     /// `C = A·B`.
@@ -269,18 +252,12 @@ impl JobSpec {
         };
         self
     }
-
-    /// Overrides the queue-wait deadline.
-    pub fn timeout(mut self, timeout: Duration) -> Self {
-        self.timeout = Some(timeout);
-        self
-    }
 }
 
 /// Completion record of a successful job.
 #[derive(Debug, Clone)]
 pub struct JobReport {
-    /// Engine-assigned job id.
+    /// Engine-issued job id ([`Engine::next_job`]).
     pub job: u64,
     /// The product, in tiled form.
     pub c: Arc<TileMatrix<f64>>,
@@ -288,7 +265,8 @@ pub struct JobReport {
     pub nnz_c: usize,
     /// Output tile count.
     pub tiles_c: usize,
-    /// Time spent queued before a worker picked the job up.
+    /// Time the job spent queued before it started, as its caller measured
+    /// it (zero for [`Engine::multiply_now`]).
     pub queue_wait: Duration,
     /// Execution wall time (operand resolution + multiply).
     pub exec: Duration,
@@ -298,7 +276,7 @@ pub struct JobReport {
     pub cache_hits: u32,
     /// CSR→tiled conversions this job had to perform (0..=2).
     pub conversions: u32,
-    /// The cost prediction admission control admitted the job under.
+    /// The cost prediction the job was admitted under.
     pub estimate: JobEstimate,
     /// Per-step wall times of the multiply (Figure 10's slices); chains
     /// accumulate every link's slices.
@@ -316,84 +294,11 @@ pub struct JobReport {
 /// Terminal state of a job.
 pub type JobResult = Result<JobReport, EngineError>;
 
-struct TicketInner {
-    result: Mutex<Option<JobResult>>,
-    cv: Condvar,
-    canceled: AtomicBool,
-}
-
-/// Handle to a submitted job; `wait` blocks for the result.
-#[derive(Clone)]
-pub struct JobTicket {
-    /// Engine-assigned job id.
-    pub job: u64,
-    inner: Arc<TicketInner>,
-}
-
-impl std::fmt::Debug for JobTicket {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("JobTicket")
-            .field("job", &self.job)
-            .field("done", &self.try_result().is_some())
-            .finish()
-    }
-}
-
-impl JobTicket {
-    /// Blocks until the job completes, returning its result.
-    pub fn wait(&self) -> JobResult {
-        let mut guard = self
-            .inner
-            .result
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(r) = guard.as_ref() {
-                return r.clone();
-            }
-            guard = self
-                .inner
-                .cv
-                .wait(guard)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Non-blocking poll.
-    pub fn try_result(&self) -> Option<JobResult> {
-        self.inner
-            .result
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Requests cancellation. Only honoured while the job is still queued;
-    /// a job already running completes normally.
-    pub fn cancel(&self) {
-        self.inner.canceled.store(true, Ordering::Relaxed);
-    }
-}
-
-struct QueuedJob {
-    id: u64,
-    spec: JobSpec,
-    estimate: JobEstimate,
-    enqueued: Instant,
-    deadline: Option<Instant>,
-    ticket: Arc<TicketInner>,
-}
-
 #[derive(Default)]
 struct Counters {
-    submitted: AtomicU64,
-    admitted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
     rejected: AtomicU64,
-    shed: AtomicU64,
-    canceled: AtomicU64,
-    timed_out: AtomicU64,
     queue_wait_micros: AtomicU64,
     exec_micros: AtomicU64,
 }
@@ -401,30 +306,17 @@ struct Counters {
 /// Snapshot of engine-level statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Every submission that arrived, whether or not it was admitted —
-    /// rejected, shed, and shut-down arrivals all count, so the shed rate
-    /// is `(submitted - admitted) / submitted` from stats alone.
-    pub submitted: u64,
-    /// Submissions accepted into the queue.
-    pub admitted: u64,
     /// Jobs that finished with a product.
     pub completed: u64,
-    /// Jobs that ran and failed (OOM, shape mismatch).
+    /// Jobs that ran and failed (OOM, shape mismatch, vanished operand).
     pub failed: u64,
-    /// Submissions rejected by admission control (estimate over budget).
+    /// [`Engine::multiply_now`] calls rejected up front because the
+    /// estimate exceeded the whole device budget.
     pub rejected: u64,
-    /// Submissions shed because the queue was full.
-    pub shed: u64,
-    /// Jobs canceled while queued.
-    pub canceled: u64,
-    /// Jobs whose queue wait exceeded their deadline.
-    pub timed_out: u64,
-    /// Sum of queue waits over completed/failed/timed-out jobs.
+    /// Sum of the queue waits callers reported over executed jobs.
     pub queue_wait_total: Duration,
     /// Sum of execution times over completed/failed jobs.
     pub exec_total: Duration,
-    /// Jobs currently queued.
-    pub queue_depth: usize,
     /// Registry counters (conversions, hits, evictions).
     pub registry: RegistryStats,
     /// Bytes currently cached by the registry.
@@ -439,31 +331,24 @@ pub struct EngineStats {
     pub arena_high_water: usize,
 }
 
-struct Shared {
+/// The resident SpGEMM service engine: registry plus synchronous executor.
+/// See the module docs for the job lifecycle. Share it behind an `Arc`;
+/// every method takes `&self` and jobs may execute concurrently.
+pub struct Engine {
     cfg: EngineConfig,
     device_tracker: MemTracker,
     registry: Mutex<Registry>,
-    queue: Mutex<VecDeque<QueuedJob>>,
-    queue_cv: Condvar,
-    shutdown: AtomicBool,
     counters: Counters,
     next_job: AtomicU64,
     recorder: Arc<dyn Recorder>,
     collector: Option<Arc<CollectingRecorder>>,
-    /// Reusable scratch arenas shared by every job the workers run; after
-    /// the first few jobs the step-2/3 hot path allocates nothing.
+    /// Reusable scratch arenas shared by every job; after the first few
+    /// jobs the step-2/3 hot path allocates nothing.
     arena: ScratchPool,
 }
 
-/// The resident SpGEMM service engine. See the module docs for the job
-/// lifecycle; construction spawns the worker threads, drop joins them.
-pub struct Engine {
-    shared: Arc<Shared>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
 impl Engine {
-    /// Builds an engine and starts its workers.
+    /// Builds an engine.
     pub fn new(cfg: EngineConfig) -> Self {
         let collector = cfg.profile.then(|| Arc::new(CollectingRecorder::new()));
         let recorder: Arc<dyn Recorder> = match &collector {
@@ -476,31 +361,15 @@ impl Engine {
         device_tracker.set_recorder(Some(Arc::clone(&recorder)));
         let registry = Registry::new(cfg.cache_bytes);
         registry.set_recorder(Arc::clone(&recorder));
-        let shared = Arc::new(Shared {
+        Engine {
             device_tracker,
             registry: Mutex::new(registry),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             counters: Counters::default(),
             next_job: AtomicU64::new(1),
             recorder,
             collector,
             arena: ScratchPool::new(),
             cfg,
-        });
-        let workers = (0..shared.cfg.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("tsg-engine-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawning engine worker")
-            })
-            .collect();
-        Engine {
-            shared,
-            workers: Mutex::new(workers),
         }
     }
 
@@ -528,12 +397,23 @@ impl Engine {
 
     /// The tiled form of `id`, converting on a cache miss *outside* the
     /// registry lock. The boolean is `true` on a cache hit. This is what
-    /// workers use to resolve operands, and what a conversion-prefetch
-    /// thread calls to warm job N+1's operands while job N computes: the
-    /// registry mutex is only held for the lookup and the install, so a
-    /// running conversion never blocks concurrent resolves.
+    /// jobs use to resolve operands, and what a conversion-prefetch thread
+    /// calls to warm job N+1's operands while job N computes: the registry
+    /// mutex is only held for the lookup and the install, so a running
+    /// conversion never blocks concurrent resolves.
     pub fn resolve_tiled(&self, id: MatrixId) -> Result<(Arc<TileMatrix<f64>>, bool), EngineError> {
-        resolve_tiled(&self.shared, id)
+        // Bind the lookup first: a guard in the match scrutinee would hold
+        // the registry lock through the conversion.
+        let lookup = self.lock_registry().begin_tiled(id)?;
+        match lookup {
+            TiledLookup::Cached(t) => Ok((t, true)),
+            TiledLookup::Convert(csr) => {
+                let tiled = Arc::new(TileMatrix::from_csr(&csr));
+                self.lock_registry()
+                    .install_tiled(id, Arc::clone(&tiled), true);
+                Ok((tiled, false))
+            }
+        }
     }
 
     /// Registers a pipeline product as an operand: derives its CSR form,
@@ -602,231 +482,94 @@ impl Engine {
 
     /// Predicts the cost of an op expression without running it. Shape
     /// errors (incompatible operands, a mask that does not match the
-    /// output) surface here exactly as they would at submit. Estimation
-    /// never materializes a CSR: operands whose CSR form is absent are
-    /// estimated structurally from their registered shape.
+    /// output) and malformed ops surface here, before anything executes.
+    /// Estimation never materializes a CSR: operands whose CSR form is
+    /// absent are estimated structurally from their registered shape.
     pub fn estimate_op(&self, op: &OpSpec) -> Result<JobEstimate, EngineError> {
-        estimate_spec(&self.lock_registry(), op, self.shared.cfg.sample_rate)
+        estimate_spec(&self.lock_registry(), op, self.cfg.sample_rate)
     }
 
-    /// Submits a job. Admission control runs synchronously: unknown
-    /// operands, over-budget estimates, a full queue, and a shut-down
-    /// engine all fail here with a typed error.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobTicket, EngineError> {
-        // Every arrival counts, including the ones admission turns away;
-        // `admitted` below is the accepted subset.
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
-        if self.shared.shutdown.load(Ordering::Relaxed) {
-            return Err(EngineError::ShuttingDown);
-        }
-        let estimate = estimate_spec(&self.lock_registry(), &spec.op, self.shared.cfg.sample_rate)?;
-        let budget = self.shared.cfg.device.mem_budget;
-        if !spec.admit_over_budget && estimate.est_bytes > budget {
-            self.shared
-                .counters
-                .rejected
-                .fetch_add(1, Ordering::Relaxed);
+    /// Issues a fresh job id. Every job the engine runs — through
+    /// [`Engine::multiply_now`] or a scheduler calling
+    /// [`Engine::execute`] — takes its id from this one counter.
+    pub fn next_job(&self) -> u64 {
+        self.next_job.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Estimates, admits and executes `spec` on the caller's thread. The
+    /// only admission check is the static one a queue-less caller needs:
+    /// an estimate above the whole device budget is rejected with
+    /// [`EngineError::EstimateExceedsBudget`] before anything runs.
+    pub fn multiply_now(&self, spec: JobSpec) -> JobResult {
+        let estimate = self.estimate_op(&spec.op)?;
+        let budget = self.cfg.device.mem_budget;
+        if estimate.est_bytes > budget {
+            self.counters.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(EngineError::EstimateExceedsBudget {
                 est_bytes: estimate.est_bytes,
                 budget,
             });
         }
-        let id = self.shared.next_job.fetch_add(1, Ordering::Relaxed);
-        let ticket_inner = Arc::new(TicketInner {
-            result: Mutex::new(None),
-            cv: Condvar::new(),
-            canceled: AtomicBool::new(false),
-        });
-        let now = Instant::now();
-        let timeout = spec.timeout.or(self.shared.cfg.default_timeout);
-        let job = QueuedJob {
-            id,
-            spec,
-            estimate,
-            enqueued: now,
-            deadline: timeout.map(|t| now + t),
-            ticket: Arc::clone(&ticket_inner),
-        };
-        // Failpoint `engine.queue_full`: sheds this submission as if the
-        // queue were at capacity, letting backpressure tests run without
-        // actually saturating workers.
-        #[cfg(feature = "failpoints")]
-        if tsg_runtime::failpoint::should_fail("engine.queue_full") {
-            self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-            return Err(EngineError::QueueFull {
-                depth: self.shared.cfg.queue_depth,
-            });
-        }
-        {
-            let mut q = self.lock_queue();
-            if q.len() >= self.shared.cfg.queue_depth {
-                self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
-                return Err(EngineError::QueueFull {
-                    depth: self.shared.cfg.queue_depth,
-                });
-            }
-            q.push_back(job);
-        }
-        self.shared
-            .counters
-            .admitted
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.queue_cv.notify_one();
-        Ok(JobTicket {
-            job: id,
-            inner: ticket_inner,
-        })
-    }
-
-    /// Submit-and-wait convenience.
-    pub fn multiply_now(&self, spec: JobSpec) -> JobResult {
-        self.submit(spec)?.wait()
+        self.execute(self.next_job(), &spec.op, estimate, Duration::ZERO)
     }
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> EngineStats {
-        let c = &self.shared.counters;
+        let c = &self.counters;
         let (registry, cached_bytes, resident_bytes) = {
             let reg = self.lock_registry();
             (reg.stats(), reg.cached_bytes(), reg.resident_bytes())
         };
         EngineStats {
-            submitted: c.submitted.load(Ordering::Relaxed),
-            admitted: c.admitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
             failed: c.failed.load(Ordering::Relaxed),
             rejected: c.rejected.load(Ordering::Relaxed),
-            shed: c.shed.load(Ordering::Relaxed),
-            canceled: c.canceled.load(Ordering::Relaxed),
-            timed_out: c.timed_out.load(Ordering::Relaxed),
             queue_wait_total: Duration::from_micros(c.queue_wait_micros.load(Ordering::Relaxed)),
             exec_total: Duration::from_micros(c.exec_micros.load(Ordering::Relaxed)),
-            queue_depth: self.lock_queue().len(),
             registry,
             cached_bytes,
             resident_bytes,
-            device_bytes_in_use: self.shared.device_tracker.current_bytes(),
-            arena_high_water: self.shared.arena.high_water_bytes(),
+            device_bytes_in_use: self.device_tracker.current_bytes(),
+            arena_high_water: self.arena.high_water_bytes(),
         }
     }
 
     /// The engine's device.
     pub fn device(&self) -> &Device {
-        &self.shared.cfg.device
+        &self.cfg.device
     }
 
     /// The engine's construction parameters.
     pub fn config(&self) -> &EngineConfig {
-        &self.shared.cfg
+        &self.cfg
     }
 
     /// The shared device-budget tracker (in-flight bytes across all jobs).
     pub fn device_tracker(&self) -> &MemTracker {
-        &self.shared.device_tracker
+        &self.device_tracker
     }
 
     /// The recorder jobs report into — a [`CollectingRecorder`] when the
     /// engine was built with [`EngineConfig::profile`], the null fast path
     /// otherwise.
     pub fn recorder(&self) -> &Arc<dyn Recorder> {
-        &self.shared.recorder
+        &self.recorder
     }
 
     /// The collecting recorder, when profiling is on. This is where per-job
     /// span trees live ([`CollectingRecorder::span_tree`]).
     pub fn collector(&self) -> Option<&Arc<CollectingRecorder>> {
-        self.shared.collector.as_ref()
+        self.collector.as_ref()
     }
 
     /// Aggregated observability counters across all jobs so far. All zeros
     /// unless the engine is profiling.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.recorder.snapshot()
+        self.recorder.snapshot()
     }
 
-    /// Stops accepting jobs, drains the queue, and joins the workers.
-    /// Queued jobs still execute; call this for a graceful stop.
-    pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.queue_cv.notify_all();
-        let mut workers = self.workers.lock().unwrap_or_else(PoisonError::into_inner);
-        for w in workers.drain(..) {
-            let _ = w.join();
-        }
-    }
-
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, Registry> {
-        self.shared
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<QueuedJob>> {
-        self.shared
-            .queue
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn complete(ticket: &TicketInner, result: JobResult) {
-    *ticket.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-    ticket.cv.notify_all();
-}
-
-/// Two-phase operand resolution: lock for the lookup, convert unlocked,
-/// lock again to install. See [`Engine::resolve_tiled`].
-fn resolve_tiled(
-    shared: &Shared,
-    id: MatrixId,
-) -> Result<(Arc<TileMatrix<f64>>, bool), EngineError> {
-    let lookup = shared
-        .registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .begin_tiled(id)?;
-    match lookup {
-        TiledLookup::Cached(t) => Ok((t, true)),
-        TiledLookup::Convert(csr) => {
-            let tiled = Arc::new(TileMatrix::from_csr(&csr));
-            shared
-                .registry
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .install_tiled(id, Arc::clone(&tiled), true);
-            Ok((tiled, false))
-        }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        let job = {
-            let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if let Some(job) = q.pop_front() {
-                    break job;
-                }
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                q = shared
-                    .queue_cv
-                    .wait(q)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-        };
-        run_job(shared, job);
+    fn lock_registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -844,7 +587,7 @@ fn shape_err(a: OperandShape, b: OperandShape) -> EngineError {
 /// already materialized, and the structural heuristic otherwise — the
 /// estimate never forces the CSR materialization the expression API exists
 /// to avoid. Shape validation happens here too, so incompatible operands
-/// are rejected at submit, before a worker ever runs.
+/// are rejected before a job ever executes.
 fn estimate_spec(
     reg: &Registry,
     op: &OpSpec,
@@ -978,345 +721,336 @@ fn estimate_spec(
     }
 }
 
-fn run_job(shared: &Shared, job: QueuedJob) {
-    let queue_wait = job.enqueued.elapsed();
-    shared
-        .counters
-        .queue_wait_micros
-        .fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
-    if job.ticket.canceled.load(Ordering::Relaxed) {
-        shared.counters.canceled.fetch_add(1, Ordering::Relaxed);
-        complete(&job.ticket, Err(EngineError::Canceled));
-        return;
-    }
-    if job.deadline.is_some_and(|d| Instant::now() > d) {
-        shared.counters.timed_out.fetch_add(1, Ordering::Relaxed);
-        complete(&job.ticket, Err(EngineError::TimedOut));
-        return;
-    }
-
-    // Failpoint gate `engine.job_start`: while a test keeps it paused the
-    // job holds its worker here, so the test decides when it may finish.
-    #[cfg(feature = "failpoints")]
-    tsg_runtime::failpoint::gate("engine.job_start");
-
-    let exec_start = Instant::now();
-    let recorder = &*shared.recorder;
-    // Operand resolution gets its own span per operand (a sibling of the
-    // multiply's "job" root), so a profile shows conversion stalls next to
-    // the pipeline phases.
-    let resolve = |id| {
-        // Failpoint `engine.resolve`: the operand disappears between
-        // admission (which saw it) and execution — the unregister/eviction
-        // race. The job must fail with the stable `unknown_matrix` code and
-        // leave the worker loop alive.
+impl Engine {
+    /// Executes job `job` (an id from [`Engine::next_job`]) on the caller's
+    /// thread: resolves the operands through the registry and runs `op`
+    /// under the shared device tracker. `estimate` is the prediction the
+    /// caller admitted the job under and `queue_wait` the time it spent
+    /// queued; both are reported back in the [`JobReport`]. No admission
+    /// check runs here — a caller that admits against free memory may run
+    /// a job whose estimate exceeds the whole budget, with the mid-flight
+    /// tracker as the backstop.
+    pub fn execute(
+        &self,
+        job: u64,
+        op: &OpSpec,
+        estimate: JobEstimate,
+        queue_wait: Duration,
+    ) -> JobResult {
+        // Failpoint `engine.job_panic`: the job panics before it touches
+        // anything, standing in for a bug anywhere in the pipeline. The
+        // caller's job boundary must turn it into an `internal` error.
         #[cfg(feature = "failpoints")]
-        if tsg_runtime::failpoint::should_fail("engine.resolve") {
-            return Err(EngineError::UnknownMatrix(id));
+        if tsg_runtime::failpoint::should_fail("engine.job_panic") {
+            panic!("injected panic at failpoint engine.job_panic (job {job})");
         }
-        let span = recorder.span_enter(job.id, "resolve");
-        let out = resolve_tiled(shared, id);
-        recorder.span_exit(span);
-        out
-    };
-    // Every job runs the engine's base configuration.
-    let config = shared.cfg.base_config;
-    // Plain and masked multiplies are one pipeline call; the mask is one
-    // more operand, resolved after `a` and `b`.
-    let multiply = |a: MatrixId, b: MatrixId, mask: Option<MatrixId>| -> JobResult {
-        let operands = [Some(a), Some(b), mask]
-            .into_iter()
-            .flatten()
-            .map(&resolve)
-            .collect::<Result<Vec<_>, _>>()?;
-        let hits = operands.iter().filter(|(_, hit)| *hit).count() as u32;
-        let out = pool_for(&shared.cfg.device)
-            .install(|| {
-                multiply_with_pool(
-                    &operands[0].0,
-                    &operands[1].0,
-                    operands.get(2).map(|(m, _)| &**m),
-                    &config,
-                    &shared.device_tracker,
-                    recorder,
-                    job.id,
-                    &shared.arena,
-                )
-            })
-            .map_err(EngineError::SpGemm)?;
-        let exec = exec_start.elapsed();
-        Ok(JobReport {
-            job: job.id,
-            nnz_c: out.c.nnz(),
-            tiles_c: out.c.tile_count(),
-            c: Arc::new(out.c),
-            queue_wait,
-            exec,
-            peak_bytes: out.peak_bytes,
-            cache_hits: hits,
-            conversions: operands.len() as u32 - hits,
-            estimate: job.estimate,
-            breakdown: out.breakdown,
-            links: 1,
-            intermediates: Vec::new(),
-        })
-    };
-    let result = match &job.spec.op {
-        OpSpec::Multiply { a, b } => multiply(*a, *b, None),
-        OpSpec::MaskedMultiply { a, b, mask } => multiply(*a, *b, Some(*mask)),
-        OpSpec::Add { alpha, a, beta, b } => resolve(*a).and_then(|(ta, hit_a)| {
-            let (tb, hit_b) = resolve(*b)?;
-            if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
-                // `core::add` asserts on shape; surface the typed error
-                // instead (submit already validated against the registry,
-                // but operands can be swapped under us between admission
-                // and execution).
-                return Err(EngineError::SpGemm(SpGemmError::ShapeMismatch {
-                    a: (ta.nrows, ta.ncols),
-                    b: (tb.nrows, tb.ncols),
-                }));
+        // Failpoint gate `engine.job_start`: while a test keeps it paused
+        // the job holds its thread here, so the test decides when it may
+        // finish.
+        #[cfg(feature = "failpoints")]
+        tsg_runtime::failpoint::gate("engine.job_start");
+
+        self.counters
+            .queue_wait_micros
+            .fetch_add(queue_wait.as_micros() as u64, Ordering::Relaxed);
+        let exec_start = Instant::now();
+        let recorder = &*self.recorder;
+        // Operand resolution gets its own span per operand (a sibling of the
+        // multiply's "job" root), so a profile shows conversion stalls next to
+        // the pipeline phases.
+        let resolve = |id| {
+            // Failpoint `engine.resolve`: the operand disappears between
+            // admission (which saw it) and execution — the unregister/eviction
+            // race. The job must fail with the stable `unknown_matrix` code and
+            // leave the engine serving.
+            #[cfg(feature = "failpoints")]
+            if tsg_runtime::failpoint::should_fail("engine.resolve") {
+                return Err(EngineError::UnknownMatrix(id));
             }
-            // The add kernel has no tracker of its own; account its
-            // operands and output against the device budget here so an add
-            // respects the same admission backstop as the multiplies.
-            let input_bytes = ta.bytes() + tb.bytes();
-            shared
-                .device_tracker
-                .on_alloc(input_bytes)
-                .map_err(|e| EngineError::SpGemm(e.into()))?;
-            let mut breakdown = Breakdown::default();
-            let span = recorder.span_enter(job.id, "job");
-            let c = pool_for(&shared.cfg.device).install(|| {
-                breakdown.timed(Step::Step3, || {
-                    tilespgemm_core::add(*alpha, &ta, *beta, &tb)
-                })
-            });
+            let span = recorder.span_enter(job, "resolve");
+            let out = self.resolve_tiled(id);
             recorder.span_exit(span);
-            let c_bytes = c.bytes();
-            let out_alloc = shared.device_tracker.on_alloc(c_bytes);
-            shared.device_tracker.on_free(input_bytes);
-            match out_alloc {
-                Ok(()) => shared.device_tracker.on_free(c_bytes),
-                Err(e) => return Err(EngineError::SpGemm(e.into())),
-            }
-            let exec = exec_start.elapsed();
+            out
+        };
+        // Every job runs the engine's base configuration.
+        let config = self.cfg.base_config;
+        // Plain and masked multiplies are one pipeline call; the mask is one
+        // more operand, resolved after `a` and `b`.
+        let multiply = |a: MatrixId, b: MatrixId, mask: Option<MatrixId>| -> JobResult {
+            let operands = [Some(a), Some(b), mask]
+                .into_iter()
+                .flatten()
+                .map(&resolve)
+                .collect::<Result<Vec<_>, _>>()?;
+            let hits = operands.iter().filter(|(_, hit)| *hit).count() as u32;
+            let out = pool_for(&self.cfg.device)
+                .install(|| {
+                    multiply_with_pool(
+                        &operands[0].0,
+                        &operands[1].0,
+                        operands.get(2).map(|(m, _)| &**m),
+                        &config,
+                        &self.device_tracker,
+                        recorder,
+                        job,
+                        &self.arena,
+                    )
+                })
+                .map_err(EngineError::SpGemm)?;
             Ok(JobReport {
-                job: job.id,
-                nnz_c: c.nnz(),
-                tiles_c: c.tile_count(),
-                c: Arc::new(c),
+                job,
+                nnz_c: out.c.nnz(),
+                tiles_c: out.c.tile_count(),
+                c: Arc::new(out.c),
                 queue_wait,
-                exec,
-                peak_bytes: input_bytes + c_bytes,
-                cache_hits: u32::from(hit_a) + u32::from(hit_b),
-                conversions: u32::from(!hit_a) + u32::from(!hit_b),
-                estimate: job.estimate,
-                breakdown,
-                links: 0,
+                exec: exec_start.elapsed(),
+                peak_bytes: out.peak_bytes,
+                cache_hits: hits,
+                conversions: operands.len() as u32 - hits,
+                estimate,
+                breakdown: out.breakdown,
+                links: 1,
                 intermediates: Vec::new(),
             })
-        }),
-        OpSpec::Chain { operands, mask } => run_chain(
-            shared, &job, &resolve, operands, *mask, &config, exec_start, queue_wait,
-        ),
-        OpSpec::Power { a, k, mask } => {
-            let ops = vec![*a; (*k).max(1) as usize];
-            run_chain(
-                shared, &job, &resolve, &ops, *mask, &config, exec_start, queue_wait,
-            )
-        }
-    };
-    shared
-        .counters
-        .exec_micros
-        .fetch_add(exec_start.elapsed().as_micros() as u64, Ordering::Relaxed);
-    match &result {
-        Ok(report) => {
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-            // Pin the estimator's accuracy per completed job: which log2
-            // band did actual peak bytes land in relative to the admission
-            // estimate?
-            //
-            // Multiply-shaped jobs tick: plain multiplies run on the
-            // sampled/exact-flops model, and masked multiplies now prune
-            // that same model through the mask (`mask_pruned`), so both are
-            // like-for-like with the histogram. Add and chain jobs still
-            // run on unrelated heuristic baselines and skip the tick.
-            if matches!(
-                job.spec.op,
-                OpSpec::Multiply { .. } | OpSpec::MaskedMultiply { .. }
-            ) {
-                recorder.add(
-                    est_error_bucket(report.estimate.est_bytes, report.peak_bytes),
-                    1,
-                );
+        };
+        let result = match op {
+            OpSpec::Multiply { a, b } => multiply(*a, *b, None),
+            OpSpec::MaskedMultiply { a, b, mask } => multiply(*a, *b, Some(*mask)),
+            OpSpec::Add { alpha, a, beta, b } => resolve(*a).and_then(|(ta, hit_a)| {
+                let (tb, hit_b) = resolve(*b)?;
+                if (ta.nrows, ta.ncols) != (tb.nrows, tb.ncols) {
+                    // `core::add` asserts on shape; surface the typed error
+                    // instead (estimation validated against the registry, but
+                    // operands can be swapped under us between admission and
+                    // execution).
+                    return Err(EngineError::SpGemm(SpGemmError::ShapeMismatch {
+                        a: (ta.nrows, ta.ncols),
+                        b: (tb.nrows, tb.ncols),
+                    }));
+                }
+                // The add kernel has no tracker of its own; account its
+                // operands and output against the device budget here so an add
+                // respects the same admission backstop as the multiplies.
+                let input_bytes = ta.bytes() + tb.bytes();
+                self.device_tracker
+                    .on_alloc(input_bytes)
+                    .map_err(|e| EngineError::SpGemm(e.into()))?;
+                let mut breakdown = Breakdown::default();
+                let span = recorder.span_enter(job, "job");
+                let c = pool_for(&self.cfg.device).install(|| {
+                    breakdown.timed(Step::Step3, || {
+                        tilespgemm_core::add(*alpha, &ta, *beta, &tb)
+                    })
+                });
+                recorder.span_exit(span);
+                let c_bytes = c.bytes();
+                let out_alloc = self.device_tracker.on_alloc(c_bytes);
+                self.device_tracker.on_free(input_bytes);
+                match out_alloc {
+                    Ok(()) => self.device_tracker.on_free(c_bytes),
+                    Err(e) => return Err(EngineError::SpGemm(e.into())),
+                }
+                Ok(JobReport {
+                    job,
+                    nnz_c: c.nnz(),
+                    tiles_c: c.tile_count(),
+                    c: Arc::new(c),
+                    queue_wait,
+                    exec: exec_start.elapsed(),
+                    peak_bytes: input_bytes + c_bytes,
+                    cache_hits: u32::from(hit_a) + u32::from(hit_b),
+                    conversions: u32::from(!hit_a) + u32::from(!hit_b),
+                    estimate,
+                    breakdown,
+                    links: 0,
+                    intermediates: Vec::new(),
+                })
+            }),
+            OpSpec::Chain { operands, mask } => self.run_chain(
+                job, &resolve, operands, *mask, &config, estimate, exec_start, queue_wait,
+            ),
+            OpSpec::Power { a, k, mask } => {
+                let ops = vec![*a; (*k).max(1) as usize];
+                self.run_chain(
+                    job, &resolve, &ops, *mask, &config, estimate, exec_start, queue_wait,
+                )
             }
-            // Sampled-estimator provenance: how many completed jobs carried
-            // a sampled band, how many tile rows those samples measured,
-            // how often the "sample" was in fact the full population, and
-            // how many multiply-shaped jobs fell back to the constant model
-            // (sampling disabled, failpoint, or shape-only operands).
-            match job.estimate.sample {
-                Some(s) => {
-                    recorder.add(Counter::EstSampleJobs, 1);
-                    recorder.add(Counter::EstSampleRows, u64::from(s.sampled_tile_rows));
-                    if s.exact {
-                        recorder.add(Counter::EstSampleExact, 1);
+        };
+        self.counters
+            .exec_micros
+            .fetch_add(exec_start.elapsed().as_micros() as u64, Ordering::Relaxed);
+        match &result {
+            Ok(report) => {
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                // Pin the estimator's accuracy per completed job: which log2
+                // band did actual peak bytes land in relative to the admission
+                // estimate?
+                //
+                // Multiply-shaped jobs tick: plain multiplies run on the
+                // sampled/exact-flops model, and masked multiplies now prune
+                // that same model through the mask (`mask_pruned`), so both are
+                // like-for-like with the histogram. Add and chain jobs still
+                // run on unrelated heuristic baselines and skip the tick.
+                if matches!(*op, OpSpec::Multiply { .. } | OpSpec::MaskedMultiply { .. }) {
+                    recorder.add(
+                        est_error_bucket(report.estimate.est_bytes, report.peak_bytes),
+                        1,
+                    );
+                }
+                // Sampled-estimator provenance: how many completed jobs carried
+                // a sampled band, how many tile rows those samples measured,
+                // how often the "sample" was in fact the full population, and
+                // how many multiply-shaped jobs fell back to the constant model
+                // (sampling disabled, failpoint, or shape-only operands).
+                match estimate.sample {
+                    Some(s) => {
+                        recorder.add(Counter::EstSampleJobs, 1);
+                        recorder.add(Counter::EstSampleRows, u64::from(s.sampled_tile_rows));
+                        if s.exact {
+                            recorder.add(Counter::EstSampleExact, 1);
+                        }
+                    }
+                    None => {
+                        if matches!(*op, OpSpec::Multiply { .. } | OpSpec::MaskedMultiply { .. }) {
+                            recorder.add(Counter::EstSampleFallback, 1);
+                        }
                     }
                 }
-                None => {
-                    if matches!(
-                        job.spec.op,
-                        OpSpec::Multiply { .. } | OpSpec::MaskedMultiply { .. }
-                    ) {
-                        recorder.add(Counter::EstSampleFallback, 1);
-                    }
+                if matches!(*op, OpSpec::Chain { .. } | OpSpec::Power { .. }) {
+                    recorder.add(Counter::ChainLinks, u64::from(report.links));
+                }
+                if matches!(
+                    *op,
+                    OpSpec::MaskedMultiply { .. }
+                        | OpSpec::Chain { mask: Some(_), .. }
+                        | OpSpec::Power { mask: Some(_), .. }
+                ) {
+                    recorder.add(Counter::MaskedJobs, 1);
                 }
             }
-            if matches!(job.spec.op, OpSpec::Chain { .. } | OpSpec::Power { .. }) {
-                recorder.add(Counter::ChainLinks, u64::from(report.links));
+            Err(_) => {
+                self.counters.failed.fetch_add(1, Ordering::Relaxed);
             }
-            if matches!(
-                job.spec.op,
-                OpSpec::MaskedMultiply { .. }
-                    | OpSpec::Chain { mask: Some(_), .. }
-                    | OpSpec::Power { mask: Some(_), .. }
-            ) {
-                recorder.add(Counter::MaskedJobs, 1);
+        };
+        result
+    }
+
+    /// Executes a left-associated chain of multiplies, keeping every
+    /// intermediate in the tiled format: link `i`'s product feeds link `i+1`
+    /// directly as an `Arc`, and is also registered as a resident product
+    /// handle (no CSR is derived — see [`Registry::insert_tiled`]). The mask,
+    /// if any, applies to the final link only.
+    ///
+    /// All named operands are pinned in the registry for the duration, so
+    /// concurrent cache pressure cannot evict a tiled form between links.
+    #[allow(clippy::too_many_arguments)]
+    fn run_chain(
+        &self,
+        job: u64,
+        resolve: &dyn Fn(MatrixId) -> Result<TiledHit, EngineError>,
+        ops: &[MatrixId],
+        mask: Option<MatrixId>,
+        config: &Config,
+        estimate: JobEstimate,
+        exec_start: Instant,
+        queue_wait: Duration,
+    ) -> JobResult {
+        let recorder = &*self.recorder;
+        let pinned: Vec<MatrixId> = ops.iter().copied().chain(mask).collect();
+        {
+            let mut reg = self.lock_registry();
+            for &id in &pinned {
+                reg.pin(id);
             }
         }
-        Err(_) => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed);
+        let result = (|| {
+            let (first, hit0) = resolve(ops[0])?;
+            let mut cur = first;
+            let mut cache_hits = u32::from(hit0);
+            let mut conversions = u32::from(!hit0);
+            let tm = match mask {
+                Some(m) => {
+                    let (t, hit) = resolve(m)?;
+                    cache_hits += u32::from(hit);
+                    conversions += u32::from(!hit);
+                    Some(t)
+                }
+                None => None,
+            };
+            let mut breakdown = Breakdown::default();
+            let mut peak = 0usize;
+            let mut intermediates = Vec::new();
+            let last = ops.len() - 2;
+            for (i, &bid) in ops[1..].iter().enumerate() {
+                let (tb, hit) = resolve(bid)?;
+                cache_hits += u32::from(hit);
+                conversions += u32::from(!hit);
+                let link_mask = if i == last { tm.as_deref() } else { None };
+                let out = pool_for(&self.cfg.device)
+                    .install(|| {
+                        multiply_with_pool(
+                            &cur,
+                            &tb,
+                            link_mask,
+                            config,
+                            &self.device_tracker,
+                            recorder,
+                            job,
+                            &self.arena,
+                        )
+                    })
+                    .map_err(EngineError::SpGemm)?;
+                breakdown.step1 += out.breakdown.step1;
+                breakdown.step2 += out.breakdown.step2;
+                breakdown.step3 += out.breakdown.step3;
+                breakdown.alloc += out.breakdown.alloc;
+                peak = peak.max(out.peak_bytes);
+                // Step 1 predicts the product's tile set structurally, so the
+                // raw output can carry phantom (zero-entry) tiles. The next
+                // link's step 1 walks every operand tile, so compact before
+                // feeding the product back — a pure metadata rewrite, far
+                // cheaper than the CSR round-trip it replaces.
+                let c = Arc::new(out.c.compact());
+                if i != last {
+                    // Failpoint `engine.chain_register`: the resident
+                    // registration is refused (the registry cannot take the
+                    // allocation). Graceful degradation: the intermediate
+                    // lives on as this job's local `Arc`, the chain continues,
+                    // only the handle is missing from the report.
+                    #[cfg(feature = "failpoints")]
+                    let skip = tsg_runtime::failpoint::should_fail("engine.chain_register");
+                    #[cfg(not(feature = "failpoints"))]
+                    let skip = false;
+                    if !skip {
+                        let (mid, _) = self.lock_registry().insert_tiled(Arc::clone(&c));
+                        intermediates.push(mid);
+                    }
+                }
+                cur = c;
+            }
+            Ok(JobReport {
+                job,
+                nnz_c: cur.nnz(),
+                tiles_c: cur.tile_count(),
+                c: cur,
+                queue_wait,
+                exec: exec_start.elapsed(),
+                peak_bytes: peak,
+                cache_hits,
+                conversions,
+                estimate,
+                breakdown,
+                links: (ops.len() - 1) as u32,
+                intermediates,
+            })
+        })();
+        let mut reg = self.lock_registry();
+        for &id in &pinned {
+            reg.unpin(id);
         }
-    };
-    complete(&job.ticket, result);
+        result
+    }
 }
 
 /// A resolved operand: its tiled form plus whether the conversion cache hit.
 type TiledHit = (Arc<TileMatrix<f64>>, bool);
-
-/// Executes a left-associated chain of multiplies, keeping every
-/// intermediate in the tiled format: link `i`'s product feeds link `i+1`
-/// directly as an `Arc`, and is also registered as a resident product
-/// handle (no CSR is derived — see [`Registry::insert_tiled`]). The mask,
-/// if any, applies to the final link only.
-///
-/// All named operands are pinned in the registry for the duration, so
-/// concurrent cache pressure cannot evict a tiled form between links.
-#[allow(clippy::too_many_arguments)]
-fn run_chain(
-    shared: &Shared,
-    job: &QueuedJob,
-    resolve: &dyn Fn(MatrixId) -> Result<TiledHit, EngineError>,
-    ops: &[MatrixId],
-    mask: Option<MatrixId>,
-    config: &Config,
-    exec_start: Instant,
-    queue_wait: Duration,
-) -> JobResult {
-    let recorder = &*shared.recorder;
-    let pinned: Vec<MatrixId> = ops.iter().copied().chain(mask).collect();
-    {
-        let mut reg = shared
-            .registry
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        for &id in &pinned {
-            reg.pin(id);
-        }
-    }
-    let result = (|| {
-        let (first, hit0) = resolve(ops[0])?;
-        let mut cur = first;
-        let mut cache_hits = u32::from(hit0);
-        let mut conversions = u32::from(!hit0);
-        let tm = match mask {
-            Some(m) => {
-                let (t, hit) = resolve(m)?;
-                cache_hits += u32::from(hit);
-                conversions += u32::from(!hit);
-                Some(t)
-            }
-            None => None,
-        };
-        let mut breakdown = Breakdown::default();
-        let mut peak = 0usize;
-        let mut intermediates = Vec::new();
-        let last = ops.len() - 2;
-        for (i, &bid) in ops[1..].iter().enumerate() {
-            let (tb, hit) = resolve(bid)?;
-            cache_hits += u32::from(hit);
-            conversions += u32::from(!hit);
-            let link_mask = if i == last { tm.as_deref() } else { None };
-            let out = pool_for(&shared.cfg.device)
-                .install(|| {
-                    multiply_with_pool(
-                        &cur,
-                        &tb,
-                        link_mask,
-                        config,
-                        &shared.device_tracker,
-                        recorder,
-                        job.id,
-                        &shared.arena,
-                    )
-                })
-                .map_err(EngineError::SpGemm)?;
-            breakdown.step1 += out.breakdown.step1;
-            breakdown.step2 += out.breakdown.step2;
-            breakdown.step3 += out.breakdown.step3;
-            breakdown.alloc += out.breakdown.alloc;
-            peak = peak.max(out.peak_bytes);
-            // Step 1 predicts the product's tile set structurally, so the
-            // raw output can carry phantom (zero-entry) tiles. The next
-            // link's step 1 walks every operand tile, so compact before
-            // feeding the product back — a pure metadata rewrite, far
-            // cheaper than the CSR round-trip it replaces.
-            let c = Arc::new(out.c.compact());
-            if i != last {
-                // Failpoint `engine.chain_register`: the resident
-                // registration is refused (the registry cannot take the
-                // allocation). Graceful degradation: the intermediate
-                // lives on as this job's local `Arc`, the chain continues,
-                // only the handle is missing from the report.
-                #[cfg(feature = "failpoints")]
-                let skip = tsg_runtime::failpoint::should_fail("engine.chain_register");
-                #[cfg(not(feature = "failpoints"))]
-                let skip = false;
-                if !skip {
-                    let (mid, _) = shared
-                        .registry
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert_tiled(Arc::clone(&c));
-                    intermediates.push(mid);
-                }
-            }
-            cur = c;
-        }
-        let exec = exec_start.elapsed();
-        Ok(JobReport {
-            job: job.id,
-            nnz_c: cur.nnz(),
-            tiles_c: cur.tile_count(),
-            c: cur,
-            queue_wait,
-            exec,
-            peak_bytes: peak,
-            cache_hits,
-            conversions,
-            estimate: job.estimate,
-            breakdown,
-            links: (ops.len() - 1) as u32,
-            intermediates,
-        })
-    })();
-    let mut reg = shared
-        .registry
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    for &id in &pinned {
-        reg.unpin(id);
-    }
-    result
-}

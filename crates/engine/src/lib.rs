@@ -7,15 +7,17 @@
 //! content-addressed [`registry::Registry`] (so the expensive CSR→tiled
 //! conversion — several single-product runtimes, per the paper's Figure 12 —
 //! is paid once and amortized, Ocean-style, across repeated products),
-//! admission-controls multiply jobs against the device memory budget using a
-//! spECK-style cost prediction ([`estimate`]), executes them on worker
-//! threads over the memoized per-device Rayon pool, and reports
-//! service-level statistics (queue wait, cache hit rate, evictions, shed
-//! jobs).
+//! predicts each job's cost with a spECK-style model ([`estimate`]),
+//! executes jobs synchronously on the caller's thread over the memoized
+//! per-device Rayon pool, and reports statistics (execution time, cache hit
+//! rate, evictions). The engine has no queue and spawns no thread: the
+//! `tsg-serve` scheduler is the one queue in front of it, and its workers
+//! call [`Engine::execute`].
 //!
 //! The [`protocol`] module exposes the engine as a JSON-lines request/
-//! response protocol; the `tsg-serve` binary serves it over stdin/stdout or
-//! TCP, and the `tile_spgemm client` subcommand drives it from scripts.
+//! response protocol; the `tsg-serve` binary serves it (wrapped in the
+//! scheduler's session verbs) over stdin/stdout or TCP, and the
+//! `tile_spgemm client` subcommand drives it from scripts.
 //!
 //! ```
 //! use tsg_engine::{Engine, EngineConfig, JobSpec};
@@ -35,9 +37,7 @@ pub mod json;
 pub mod protocol;
 pub mod registry;
 
-pub use engine::{
-    Engine, EngineConfig, EngineStats, JobReport, JobResult, JobSpec, JobTicket, OpSpec,
-};
+pub use engine::{Engine, EngineConfig, EngineStats, JobReport, JobResult, JobSpec, OpSpec};
 pub use estimate::{estimate_job, JobEstimate};
 pub use protocol::{MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
 pub use registry::{MatrixId, Registry, RegistryStats, TiledLookup};
@@ -55,23 +55,19 @@ pub enum EngineError {
     UnknownMatrix(MatrixId),
     /// The multiply pipeline failed (out of memory, shape mismatch).
     SpGemm(SpGemmError),
-    /// Admission control predicted the job cannot fit the device budget.
+    /// The job's estimate exceeds the whole device budget
+    /// ([`Engine::multiply_now`]'s up-front check).
     EstimateExceedsBudget {
         /// Predicted peak bytes for the job.
         est_bytes: usize,
         /// The device budget it exceeds.
         budget: usize,
     },
-    /// The job queue is at its configured depth; retry later (backpressure).
-    QueueFull {
-        /// The configured queue depth.
-        depth: usize,
-    },
     /// The job's queue wait exceeded its deadline; it was never run.
     TimedOut,
     /// The job was canceled while queued.
     Canceled,
-    /// The engine is shutting down and no longer accepts jobs.
+    /// The server is draining and the job was never run.
     ShuttingDown,
     /// A batch job's dependency (an earlier entry it referenced) failed, so
     /// this job can never have its operands.
@@ -82,6 +78,9 @@ pub enum EngineError {
     /// The op expression is malformed (a chain with fewer than two
     /// operands, a power with `k < 2`), independent of any operand's state.
     InvalidOp(&'static str),
+    /// The job panicked. The panic was contained at the job boundary; the
+    /// message is the panic's payload.
+    Internal(String),
 }
 
 impl EngineError {
@@ -91,12 +90,12 @@ impl EngineError {
             EngineError::UnknownMatrix(_) => "unknown_matrix",
             EngineError::SpGemm(e) => e.code(),
             EngineError::EstimateExceedsBudget { .. } => "estimate_exceeds_budget",
-            EngineError::QueueFull { .. } => "queue_full",
             EngineError::TimedOut => "timed_out",
             EngineError::Canceled => "canceled",
             EngineError::ShuttingDown => "shutting_down",
             EngineError::DependencyFailed { .. } => "dependency_failed",
             EngineError::InvalidOp(_) => "invalid_op",
+            EngineError::Internal(_) => "internal",
         }
     }
 }
@@ -110,16 +109,14 @@ impl std::fmt::Display for EngineError {
                 f,
                 "estimated footprint {est_bytes} B exceeds device budget {budget} B"
             ),
-            EngineError::QueueFull { depth } => {
-                write!(f, "job queue full (depth {depth}); retry later")
-            }
             EngineError::TimedOut => write!(f, "queue-wait deadline exceeded before execution"),
             EngineError::Canceled => write!(f, "job canceled while queued"),
-            EngineError::ShuttingDown => write!(f, "engine is shutting down"),
+            EngineError::ShuttingDown => write!(f, "server is shutting down"),
             EngineError::DependencyFailed { dep } => {
                 write!(f, "dependency job {dep} failed; operands unavailable")
             }
             EngineError::InvalidOp(why) => write!(f, "invalid op expression: {why}"),
+            EngineError::Internal(why) => write!(f, "internal error: the job panicked: {why}"),
         }
     }
 }
@@ -146,8 +143,8 @@ mod tests {
     #[test]
     fn error_codes_are_stable_and_sources_chain() {
         use std::error::Error;
-        let e = EngineError::QueueFull { depth: 8 };
-        assert_eq!(e.code(), "queue_full");
+        let e = EngineError::Internal("boom".into());
+        assert_eq!(e.code(), "internal");
         assert!(e.source().is_none());
 
         let inner = SpGemmError::ShapeMismatch {

@@ -23,12 +23,10 @@
 //! | `{"op":"estimate","a":"m…","b":"m…"}` | `{"ok":true,"flops":..,"est_nnz_c":..,"est_bytes":..}` |
 //! | `{"op":"multiply","a":"m…","b":"m…"}` | `{"ok":true,"job":1,"nnz_c":..,"queue_wait_ms":..,"exec_ms":..,"step1_ms":..,…}` |
 //! | `{"op":"multiply",…,"mask":"m…"}` | as above, computed as `(A·B) ∘ mask` with the mask pushed into step 2 (v3) |
-//! | `{"op":"multiply",…,"async":true}` | `{"ok":true,"job":1,"queued":true}` then `{"op":"wait","job":1}` |
 //! | `{"op":"add","a":"m…","b":"m…","alpha":1,"beta":-1}` | multiply-shaped reply for `alpha·A + beta·B` (v3) |
 //! | `{"op":"chain","ids":["m…","m…","m…"]}` | multiply-shaped reply plus `"links"` and `"intermediates":["m…"]` (v3) |
 //! | `{"op":"power","a":"m…","k":3}` | as `chain` with `k` copies of `a` (v3) |
-//! | `{"op":"cancel","job":1}` | `{"ok":true,"job":1,"canceled":true}` |
-//! | `{"op":"stats"}` | `{"ok":true,"submitted":..,"cache_hit_rate":..,"counters":{…},…}` |
+//! | `{"op":"stats"}` | `{"ok":true,"completed":..,"cache_hit_rate":..,"counters":{…},…}` |
 //! | `{"op":"profile"}` | `{"ok":true,"profile":true,"counters":{…},"jobs":[{"job":1,"spans":[…]}]}` |
 //! | `{"op":"evict"}` / `{"op":"evict","id":"m…"}` | `{"ok":true,"evicted":n}` |
 //! | `{"op":"unload","id":"m…"}` | `{"ok":true,"id":"m…","unloaded":true}` — drops the CSR too; later references are `unknown_matrix` |
@@ -38,9 +36,14 @@
 //! `frame_too_large` error code without being parsed; the session keeps
 //! serving subsequent lines.
 //!
-//! `multiply` accepts an optional `"timeout_ms"` override, plus
-//! `"keep":true` (v2) to register the product as an operand: the reply then
-//! carries its handle as `"c":"m…"`. Handles are content hashes, so equal
+//! This session runs every job verb inline on the calling thread
+//! ([`Engine::multiply_now`]): it has no queue, so `"async"` and
+//! `"timeout_ms"` are ignored here and `wait`/`cancel` are not its verbs.
+//! Queueing — `async`/`wait`/`cancel`, deadlines, fairness, backpressure —
+//! is the `tsg-serve` scheduler's, whose session wraps this one.
+//!
+//! `multiply` accepts `"keep":true` (v2) to register the product as an
+//! operand: the reply then carries its handle as `"c":"m…"`. Handles are content hashes, so equal
 //! `"c"` values prove bitwise-identical products. Every job runs the
 //! engine's base pipeline configuration: there are no per-job pipeline
 //! overrides, and the retired override fields (DESIGN.md §8) are ignored
@@ -61,21 +64,20 @@
 //! session (DESIGN.md §12).
 //!
 //! When the engine profiles ([`crate::EngineConfig::profile`], the serve
-//! binary's `--profile`), `multiply`/`wait` replies additionally carry the
+//! binary's `--profile`), job replies additionally carry the
 //! job's span tree as `"spans"` (nested `{"name","ms","children"}` nodes),
 //! `stats.counters` reports live observability totals, and `profile` dumps
 //! every recorded job. Without profiling the counters are all zero and
 //! `"spans"` is omitted. The full wire format is documented in DESIGN.md §9.
 
-use std::collections::HashMap;
 use std::error::Error as _;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Duration;
 
 use tsg_matrix::Coo;
 use tsg_runtime::{CollectingRecorder, SpanNode};
 
-use crate::engine::{Engine, JobReport, JobSpec, JobTicket, OpSpec};
+use crate::engine::{Engine, JobReport, JobSpec, OpSpec};
 use crate::json::{obj, parse, Value};
 use crate::registry::MatrixId;
 use crate::EngineError;
@@ -97,21 +99,10 @@ pub const MIN_PROTOCOL_VERSION: u64 = 1;
 /// it, bounding per-request memory on hostile input.
 pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
-/// A protocol session: parses request lines, drives the shared engine, and
-/// renders response lines. Tickets of `"async"` multiplies are held per
-/// session for later `wait`/`cancel`.
+/// A protocol session: parses request lines, runs jobs on the shared
+/// engine inline, and renders response lines.
 pub struct Session {
     engine: Arc<Engine>,
-    /// Pending `"async"` jobs: ticket plus the request's `"keep"` and
-    /// `"materialize"` flags, honoured when `wait` collects the result.
-    tickets: Mutex<HashMap<u64, (JobTicket, KeepMode)>>,
-}
-
-/// How a request asked to retain its product.
-#[derive(Debug, Clone, Copy)]
-struct KeepMode {
-    keep: bool,
-    materialize: bool,
 }
 
 /// What the transport should do after a response.
@@ -126,10 +117,7 @@ pub enum Control {
 impl Session {
     /// A session over `engine`.
     pub fn new(engine: Arc<Engine>) -> Self {
-        Session {
-            engine,
-            tickets: Mutex::new(HashMap::new()),
-        }
+        Session { engine }
     }
 
     /// The shared engine.
@@ -217,8 +205,6 @@ impl Session {
             "add" => self.add(req),
             "chain" => self.chain(req),
             "power" => self.power(req),
-            "wait" => self.wait(req),
-            "cancel" => self.cancel(req),
             "stats" => Ok(self.stats()),
             "profile" => Ok(self.profile()),
             "evict" => self.evict(req),
@@ -389,45 +375,32 @@ impl Session {
         })
     }
 
-    fn job_spec(req: &Value, op: OpSpec) -> JobSpec {
-        let mut spec = JobSpec::of(op);
-        if let Some(ms) = req.get("timeout_ms").and_then(Value::as_u64) {
-            spec.timeout = Some(Duration::from_millis(ms));
-        }
-        spec
-    }
-
-    /// Submits an op-expression job and renders/queues the reply — the
-    /// shared tail of `multiply`, `add`, `chain`, and `power`. Each verb
-    /// picks its own `materialize` default: `true` for `multiply` (v2-kept
-    /// handles are CSR-backed, unchanged) and `false` for the v3 verbs
+    /// Runs an op-expression job inline and renders the reply — the shared
+    /// tail of `multiply`, `add`, `chain`, and `power`. A `"keep":true`
+    /// product is registered before the reply: CSR-backed when the request
+    /// asks to `"materialize"`, as a resident tiled entry otherwise. Each
+    /// verb picks its own `materialize` default: `true` for `multiply` (v2
+    /// kept handles are CSR-backed, unchanged) and `false` for the v3 verbs
     /// (kept products stay tiled).
-    fn submit_op(
+    fn run_op(
         &self,
         req: &Value,
         op: OpSpec,
         default_materialize: bool,
     ) -> Result<Value, ProtocolError> {
-        let spec = Self::job_spec(req, op);
-        let mode = KeepMode {
-            keep: req.get("keep").and_then(Value::as_bool) == Some(true),
-            materialize: req
-                .get("materialize")
-                .and_then(Value::as_bool)
-                .unwrap_or(default_materialize),
-        };
-        let ticket = self.engine.submit(spec)?;
-        if req.get("async").and_then(Value::as_bool) == Some(true) {
-            let job = ticket.job;
-            self.lock_tickets().insert(job, (ticket, mode));
-            return Ok(obj([
-                ("ok", true.into()),
-                ("job", job.into()),
-                ("queued", true.into()),
-            ]));
-        }
-        let report = ticket.wait()?;
-        Ok(self.finish(&report, mode))
+        let report = self.engine.multiply_now(JobSpec::of(op))?;
+        let materialize = req
+            .get("materialize")
+            .and_then(Value::as_bool)
+            .unwrap_or(default_materialize);
+        let kept = (req.get("keep").and_then(Value::as_bool) == Some(true)).then(|| {
+            if materialize {
+                self.engine.register_product(Arc::clone(&report.c)).0
+            } else {
+                self.engine.register_tiled(Arc::clone(&report.c)).0
+            }
+        });
+        Ok(report_response(&report, self.collector(), kept))
     }
 
     fn multiply(&self, req: &Value) -> Result<Value, ProtocolError> {
@@ -437,7 +410,7 @@ impl Session {
             Some(mask) => OpSpec::MaskedMultiply { a, b, mask },
             None => OpSpec::Multiply { a, b },
         };
-        self.submit_op(req, op, true)
+        self.run_op(req, op, true)
     }
 
     fn add(&self, req: &Value) -> Result<Value, ProtocolError> {
@@ -447,12 +420,12 @@ impl Session {
             beta: req.get("beta").and_then(Value::as_f64).unwrap_or(1.0),
             b: Self::matrix_id(req, "b")?,
         };
-        self.submit_op(req, op, false)
+        self.run_op(req, op, false)
     }
 
     fn chain(&self, req: &Value) -> Result<Value, ProtocolError> {
         let op = Self::chain_op(req)?;
-        self.submit_op(req, op, false)
+        self.run_op(req, op, false)
     }
 
     fn power(&self, req: &Value) -> Result<Value, ProtocolError> {
@@ -465,51 +438,7 @@ impl Session {
             k: u32::try_from(k).map_err(|_| ProtocolError::bad("\"k\" out of range"))?,
             mask: Self::opt_matrix_id(req, "mask")?,
         };
-        self.submit_op(req, op, false)
-    }
-
-    fn wait(&self, req: &Value) -> Result<Value, ProtocolError> {
-        let job = req
-            .get("job")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ProtocolError::bad("wait needs a numeric \"job\""))?;
-        let (ticket, mode) = self
-            .lock_tickets()
-            .remove(&job)
-            .ok_or_else(|| ProtocolError::bad("unknown job id for this session"))?;
-        let report = ticket.wait()?;
-        Ok(self.finish(&report, mode))
-    }
-
-    /// Renders a completed job, registering the product first when the
-    /// request asked to `keep` it — as a CSR-backed entry when it asked to
-    /// materialize, as a resident tiled entry otherwise.
-    fn finish(&self, report: &JobReport, mode: KeepMode) -> Value {
-        let kept = mode.keep.then(|| {
-            if mode.materialize {
-                self.engine.register_product(Arc::clone(&report.c)).0
-            } else {
-                self.engine.register_tiled(Arc::clone(&report.c)).0
-            }
-        });
-        report_response(report, self.collector(), kept)
-    }
-
-    fn cancel(&self, req: &Value) -> Result<Value, ProtocolError> {
-        let job = req
-            .get("job")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| ProtocolError::bad("cancel needs a numeric \"job\""))?;
-        let tickets = self.lock_tickets();
-        let (ticket, _) = tickets
-            .get(&job)
-            .ok_or_else(|| ProtocolError::bad("unknown job id for this session"))?;
-        ticket.cancel();
-        Ok(obj([
-            ("ok", true.into()),
-            ("job", job.into()),
-            ("canceled", true.into()),
-        ]))
+        self.run_op(req, op, false)
     }
 
     fn stats(&self) -> Value {
@@ -566,10 +495,6 @@ impl Session {
             ("unloaded", true.into()),
         ]))
     }
-
-    fn lock_tickets(&self) -> std::sync::MutexGuard<'_, HashMap<u64, (JobTicket, KeepMode)>> {
-        self.tickets.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 /// Stamps the `"v"` protocol version into a response object (error
@@ -604,15 +529,9 @@ pub fn stats_response(engine: &Engine) -> Value {
     };
     obj([
         ("ok", true.into()),
-        ("submitted", s.submitted.into()),
-        ("admitted", s.admitted.into()),
         ("completed", s.completed.into()),
         ("failed", s.failed.into()),
         ("rejected", s.rejected.into()),
-        ("shed", s.shed.into()),
-        ("canceled", s.canceled.into()),
-        ("timed_out", s.timed_out.into()),
-        ("queue_depth", s.queue_depth.into()),
         (
             "queue_wait_ms_total",
             Value::Num(s.queue_wait_total.as_secs_f64() * 1e3),
@@ -1055,24 +974,5 @@ mod tests {
                 .and_then(Value::as_str),
             Some("invalid_op")
         );
-    }
-
-    #[test]
-    fn async_multiply_then_wait() {
-        let s = session();
-        let loaded = ok(&s, r#"{"op":"load","gen":"fem-00"}"#);
-        let id = loaded
-            .get("id")
-            .and_then(Value::as_str)
-            .unwrap()
-            .to_string();
-        let queued = ok(
-            &s,
-            &format!(r#"{{"op":"multiply","a":"{id}","b":"{id}","async":true}}"#),
-        );
-        let job = queued.get("job").and_then(Value::as_u64).unwrap();
-        assert_eq!(queued.get("queued").and_then(Value::as_bool), Some(true));
-        let done = ok(&s, &format!(r#"{{"op":"wait","job":{job}}}"#));
-        assert!(done.get("nnz_c").and_then(Value::as_u64).unwrap() > 0);
     }
 }

@@ -251,7 +251,7 @@ impl Registry {
     /// entry's tiled form. The engine pins every operand of a chain for the
     /// duration of the job, so cache pressure from concurrent jobs cannot
     /// force a re-conversion between links. Unknown ids are ignored (the
-    /// operand check happens at submit).
+    /// operand check happens at estimation).
     pub fn pin(&mut self, id: MatrixId) {
         if let Some(e) = self.entries.get_mut(&id.0) {
             e.pins += 1;
@@ -274,8 +274,8 @@ impl Registry {
     /// on first use. The boolean is `true` when served from the cache.
     ///
     /// This runs the conversion while the caller holds the registry —
-    /// convenient for single-threaded use. Concurrent resolvers (the engine
-    /// workers, the serve crate's conversion prefetcher) use the two-phase
+    /// convenient for single-threaded use. Concurrent resolvers (jobs on the
+    /// serve workers, the serve crate's conversion prefetcher) use the two-phase
     /// [`Registry::begin_tiled`] / [`Registry::install_tiled`] pair instead
     /// so a multi-second conversion never runs under the registry mutex.
     pub fn tiled(&mut self, id: MatrixId) -> Result<(Arc<TileMatrix<f64>>, bool), EngineError> {

@@ -1,6 +1,7 @@
 //! Engine-level behaviour: admission control (up-front rejection and
-//! mid-flight budget trips), registry caching across jobs, backpressure,
-//! cancellation, and timeouts.
+//! mid-flight budget trips), registry caching across jobs, and the
+//! estimator counters. Queueing, cancellation and deadlines belong to the
+//! serve scheduler (`crates/serve/tests`).
 
 use std::time::Duration;
 
@@ -35,7 +36,7 @@ fn over_budget_estimate_is_rejected_up_front() {
     let est = engine.estimate(id, id).unwrap();
     assert!(est.est_bytes > engine.device().mem_budget);
 
-    let err = engine.submit(JobSpec::new(id, id)).unwrap_err();
+    let err = engine.multiply_now(JobSpec::new(id, id)).unwrap_err();
     match err {
         EngineError::EstimateExceedsBudget { est_bytes, budget } => {
             assert_eq!(est_bytes, est.est_bytes);
@@ -45,23 +46,21 @@ fn over_budget_estimate_is_rejected_up_front() {
     }
     let s = engine.stats();
     assert_eq!(s.rejected, 1);
-    // The arrival still counts — shed rate is (submitted - admitted) /
-    // submitted from stats alone — but nothing was admitted.
-    assert_eq!(s.submitted, 1);
-    assert_eq!(s.admitted, 0);
     // Nothing ran, so nothing was ever charged to the device.
+    assert_eq!((s.completed, s.failed), (0, 0));
     assert_eq!(s.device_bytes_in_use, 0);
 
-    // An over-budget spec can still be force-admitted by a scheduler doing
-    // its own deferred admission; the mid-flight tracker stays the backstop.
-    let mut solo = JobSpec::new(id, id);
-    solo.admit_over_budget = true;
-    let err = engine.multiply_now(solo).unwrap_err();
+    // A scheduler doing its own deferred admission executes an over-budget
+    // job directly; the mid-flight tracker stays the backstop.
+    let op = JobSpec::new(id, id).op;
+    let err = engine
+        .execute(engine.next_job(), &op, est, Duration::ZERO)
+        .unwrap_err();
     assert_eq!(err.code(), "out_of_memory");
     assert_eq!(engine.device_tracker().current_bytes(), 0);
     let s = engine.stats();
-    assert_eq!(s.submitted, 2);
-    assert_eq!(s.admitted, 1);
+    assert_eq!(s.rejected, 1);
+    assert_eq!(s.failed, 1);
 }
 
 #[test]
@@ -253,102 +252,4 @@ fn masked_multiplies_tick_est_err_and_sample_counters() {
     assert_eq!(m.get(tsg_runtime::Counter::EstSampleJobs), 2);
     assert!(m.get(tsg_runtime::Counter::EstSampleRows) >= 32);
     assert_eq!(m.get(tsg_runtime::Counter::EstSampleFallback), 0);
-}
-
-#[test]
-fn full_queue_sheds_with_backpressure() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 2,
-        ..EngineConfig::default()
-    });
-    // A product slow enough to hold the single worker while the queue fills.
-    let (big, _) = engine.register(scatter(4096, 12, 3));
-    let (tiny, _) = engine.register(Csr::<f64>::identity(64));
-
-    let mut tickets = vec![engine.submit(JobSpec::new(big, big)).unwrap()];
-    let mut shed = 0;
-    // Keep submitting until backpressure appears; the queue holds 2, so at
-    // most 3 submissions can be in flight before one is shed.
-    for _ in 0..16 {
-        match engine.submit(JobSpec::new(tiny, tiny)) {
-            Ok(t) => tickets.push(t),
-            Err(EngineError::QueueFull { depth }) => {
-                assert_eq!(depth, 2);
-                shed += 1;
-                break;
-            }
-            Err(other) => panic!("unexpected submit error {other:?}"),
-        }
-    }
-    assert_eq!(shed, 1, "a depth-2 queue must shed a fast burst");
-    assert_eq!(engine.stats().shed, 1);
-    // Everything admitted still completes; nothing deadlocks.
-    for t in tickets {
-        t.wait().unwrap();
-    }
-}
-
-#[test]
-fn queued_jobs_can_be_canceled_but_not_running_ones() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    });
-    let (big, _) = engine.register(scatter(4096, 12, 5));
-    let (tiny, _) = engine.register(Csr::<f64>::identity(64));
-
-    // The worker picks this up immediately; cancel arrives too late.
-    let running = engine.submit(JobSpec::new(big, big)).unwrap();
-    // This one waits behind it; cancel lands while it is still queued.
-    let queued = engine.submit(JobSpec::new(tiny, tiny)).unwrap();
-    queued.cancel();
-
-    assert_eq!(queued.wait().unwrap_err(), EngineError::Canceled);
-    // A cancel after completion is a no-op; the result stands.
-    running.cancel();
-    assert!(running.wait().is_ok());
-    let s = engine.stats();
-    assert_eq!(s.canceled, 1);
-    assert_eq!(s.completed, 1);
-}
-
-#[test]
-fn queue_wait_deadline_times_out_stale_jobs() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        ..EngineConfig::default()
-    });
-    let (big, _) = engine.register(scatter(4096, 12, 6));
-    let (tiny, _) = engine.register(Csr::<f64>::identity(64));
-
-    let running = engine.submit(JobSpec::new(big, big)).unwrap();
-    let mut stale = JobSpec::new(tiny, tiny);
-    stale.timeout = Some(Duration::ZERO); // expires the instant it queues
-    let stale = engine.submit(stale).unwrap();
-
-    assert_eq!(stale.wait().unwrap_err(), EngineError::TimedOut);
-    assert!(running.wait().is_ok());
-    assert_eq!(engine.stats().timed_out, 1);
-}
-
-#[test]
-fn shutdown_drains_queued_jobs_then_refuses_new_ones() {
-    let engine = Engine::new(EngineConfig {
-        workers: 2,
-        ..EngineConfig::default()
-    });
-    let (id, _) = engine.register(scatter(512, 4, 8));
-    let tickets: Vec<_> = (0..6)
-        .map(|_| engine.submit(JobSpec::new(id, id)).unwrap())
-        .collect();
-    engine.shutdown();
-    // Graceful: everything admitted before shutdown still completed.
-    for t in tickets {
-        t.wait().unwrap();
-    }
-    assert_eq!(
-        engine.submit(JobSpec::new(id, id)).unwrap_err(),
-        EngineError::ShuttingDown
-    );
 }

@@ -1,8 +1,8 @@
-//! Weighted-fair, backpressure-first job scheduler over the resident engine.
+//! Weighted-fair, backpressure-first job scheduler: the one queue in front
+//! of the engine.
 //!
-//! The engine's own queue sheds: a full queue or an over-budget estimate
-//! rejects the submission, and under a burst that is dropped work. This
-//! scheduler replaces shedding with *backpressure* and *deferral*:
+//! The engine is a synchronous executor with no queue of its own; this
+//! scheduler owns every queueing decision and runs jobs on its own workers:
 //!
 //! * Every client holds a [session](Scheduler::open_session) with its own
 //!   bounded FIFO queue and a fairness weight. A submission that finds the
@@ -10,19 +10,28 @@
 //!   control) and, if space does not free in time, answered with a
 //!   structured [`BackpressureHint`] (`retry_after`, `queue_position`)
 //!   instead of an error drop. The client resubmits; nothing is lost.
-//! * Dispatch across sessions is weighted-fair queueing over virtual time:
-//!   each dispatch advances its session's virtual finish tag by
-//!   `1/weight`, and the runnable session with the smallest tag goes next.
-//!   A bulk batch in one session therefore cannot starve another session's
-//!   interactive jobs — dispatches interleave in weight proportion.
-//! * `estimate_exceeds_budget` becomes *deferred admission*: a job whose
-//!   predicted footprint does not fit the memory currently free
-//!   (`budget − in-flight bytes`) parks at the head of the dispatch order;
-//!   completions drain memory and re-evaluate it, and once the device is
-//!   idle it dispatches solo (bypassing the engine's static check with
-//!   [`JobSpec::admit_over_budget`]) with the mid-flight tracker as the
-//!   backstop. Dispatch is memory-ordered: while the fair-queue head is
-//!   parked nothing overtakes it, so deferral cannot become starvation.
+//! * [`EngineConfig::workers`](tsg_engine::EngineConfig::workers) scheduler
+//!   workers each loop: pick a job, [`Engine::execute`] it, register a kept
+//!   or `$k`-referenced product, complete the ticket. The worker count is
+//!   the in-flight cap. Each job runs inside `catch_unwind`: a panic
+//!   completes its ticket with the `internal` error code and the worker
+//!   carries on.
+//! * The pick is weighted-fair queueing over virtual time: each dispatch
+//!   advances its session's virtual finish tag by `1/weight`, and the
+//!   runnable session with the smallest tag goes next. A bulk batch in one
+//!   session therefore cannot starve another session's interactive jobs —
+//!   dispatches interleave in weight proportion.
+//! * Admission reserves each job's estimated bytes against the memory
+//!   currently free (`budget − max(reserved, tracked)`). A head that does
+//!   not fit waits at the head of the dispatch order; completions release
+//!   memory and re-evaluate it. An estimate above the whole budget is
+//!   *deferred*: once the device is idle it runs solo (exclusive), with the
+//!   mid-flight tracker as the backstop. While the fair-queue head waits
+//!   nothing overtakes it, so deferral cannot become starvation.
+//! * Queue-wait deadlines (a job's `timeout`, else
+//!   [`SchedConfig::default_timeout`]) and cancellation apply while a job
+//!   is queued; a job whose deadline passed completes as `timed_out`
+//!   without running. A running job is not interruptible.
 //! * Batches ([`Scheduler::submit`] with several [`SubmitSpec`]s) may
 //!   reference earlier entries' products as operands ([`Operand::Ref`],
 //!   `$k` on the wire). Referenced products are registered on completion
@@ -34,24 +43,21 @@
 //!   registry lock), so job N+1's CSR→tiled conversion runs while job N
 //!   computes.
 //!
-//! Serve-level job ids live at [`SERVE_JOB_BASE`] and above so they can
-//! never collide with the engine's own ticket ids on the shared `wait`
-//! verb.
+//! Job ids come from the engine's one counter ([`Engine::next_job`]), so a
+//! ticket's id is the `job` its report carries and the key of its profile
+//! row.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::AtomicU64;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use tsg_engine::engine::JobTicket;
-use tsg_engine::{Engine, EngineError, JobReport, JobSpec, MatrixId, OpSpec};
+use tsg_engine::{Engine, EngineError, JobEstimate, JobReport, MatrixId, OpSpec};
 use tsg_runtime::observe::{Counter, QueueGauge, WaitGauge};
-
-/// Serve-level job ids count up from here (engine ticket ids count up from
-/// 1), so the two id spaces never collide on the protocol's `wait` verb.
-pub const SERVE_JOB_BASE: u64 = 1 << 32;
 
 /// Scheduler construction parameters.
 #[derive(Debug, Clone)]
@@ -65,6 +71,8 @@ pub struct SchedConfig {
     /// Warm the next runnable job's operand conversions on the conversion
     /// thread while the current job computes.
     pub prefetch: bool,
+    /// Queue-wait deadline for jobs that carry no `timeout` of their own.
+    pub default_timeout: Option<Duration>,
 }
 
 impl Default for SchedConfig {
@@ -73,6 +81,7 @@ impl Default for SchedConfig {
             session_queue_depth: 8,
             backpressure_wait: Duration::from_millis(25),
             prefetch: true,
+            default_timeout: None,
         }
     }
 }
@@ -87,7 +96,8 @@ pub enum Operand {
     Ref(usize),
 }
 
-/// One multiply in a submission (single job or batch entry).
+/// One job in a submission (single job or batch entry): a multiply, or an
+/// add when [`SubmitSpec::add`] is set.
 #[derive(Debug, Clone)]
 pub struct SubmitSpec {
     /// Left operand.
@@ -99,7 +109,10 @@ pub struct SubmitSpec {
     /// `$k` back-reference, so a chain's final link can mask by an earlier
     /// entry's product.
     pub mask: Option<Operand>,
-    /// Total queue-wait deadline (scheduler and engine queues combined).
+    /// `Some((alpha, beta))` makes the job the sum `alpha·A + beta·B`
+    /// instead of a product; `mask` is then unused.
+    pub add: Option<(f64, f64)>,
+    /// Queue-wait deadline; `None` uses [`SchedConfig::default_timeout`].
     pub timeout: Option<Duration>,
     /// Register the product as an operand and report its handle.
     pub keep: bool,
@@ -118,26 +131,26 @@ impl SubmitSpec {
             a: Operand::Id(a),
             b: Operand::Id(b),
             mask: None,
+            add: None,
             timeout: None,
             keep: false,
             materialize: true,
         }
     }
 
+    /// A job adding `alpha·a + beta·b` with defaults.
+    pub fn add(alpha: f64, a: MatrixId, beta: f64, b: MatrixId) -> Self {
+        SubmitSpec {
+            add: Some((alpha, beta)),
+            ..Self::new(a, b)
+        }
+    }
+
     /// Every operand the job depends on, mask included.
-    fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
+    pub(crate) fn operands(&self) -> impl Iterator<Item = Operand> + '_ {
         [Some(self.a), Some(self.b), self.mask]
             .into_iter()
             .flatten()
-    }
-}
-
-/// The engine op for resolved operands: masked multiply when a mask rides
-/// along, plain multiply otherwise.
-fn op_spec(a: MatrixId, b: MatrixId, mask: Option<MatrixId>) -> OpSpec {
-    match mask {
-        Some(mask) => OpSpec::MaskedMultiply { a, b, mask },
-        None => OpSpec::Multiply { a, b },
     }
 }
 
@@ -213,7 +226,7 @@ fn complete(ticket: &STicket, result: ServeResult) {
 /// Handle to a scheduled job; `wait` blocks for the result.
 #[derive(Clone)]
 pub struct ServeTicket {
-    /// Serve-level job id (≥ [`SERVE_JOB_BASE`]).
+    /// Engine-issued job id; the `job` of its report and its profile row.
     pub job: u64,
     inner: Arc<STicket>,
 }
@@ -331,10 +344,12 @@ pub struct SchedulerStats {
     pub deferred: u64,
     /// Jobs submitted as part of a multi-entry batch.
     pub batch_jobs: u64,
-    /// Jobs handed to the engine so far.
+    /// Jobs handed to a worker so far.
     pub dispatched: u64,
-    /// Jobs currently executing (or queued) inside the engine.
+    /// Jobs currently executing on the workers (at most their count).
     pub in_flight: usize,
+    /// Jobs whose execution panicked; each completed as `internal`.
+    pub job_panics: u64,
     /// Execution-time EWMA feeding `retry_after` hints.
     pub exec_ewma: Duration,
     /// Whether the scheduler is draining.
@@ -353,8 +368,6 @@ struct Inner {
     /// concurrent jobs from growing past the budget mid-flight), while the
     /// tracked term covers allocations that outlive or exceed a reservation.
     reserved_bytes: usize,
-    /// Serve job id → engine ticket, for cancellation of dispatched jobs.
-    running: HashMap<u64, JobTicket>,
     /// `(batch id, entry index)` → registered product, or the failed job's
     /// id when the entry can never produce one.
     batch_products: HashMap<(u64, usize), Result<MatrixId, u64>>,
@@ -379,22 +392,28 @@ struct Shared {
     cv: Condvar,
     queue_gauge: QueueGauge,
     wait_gauge: WaitGauge,
-    next_job: AtomicU64,
+    job_panics: AtomicU64,
     next_session: AtomicU64,
     convert_tx: Mutex<Option<Sender<MatrixId>>>,
 }
 
-/// The multi-client scheduler. Construction spawns the dispatcher and
-/// conversion threads; [`Scheduler::shutdown`] (or drop) drains and joins
-/// them.
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The multi-client scheduler. Construction spawns
+/// [`EngineConfig::workers`](tsg_engine::EngineConfig::workers) workers
+/// and one conversion thread; [`Scheduler::shutdown`] (or drop) drains and
+/// joins them.
 pub struct Scheduler {
     shared: Arc<Shared>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
-    converter: Mutex<Option<JoinHandle<()>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Scheduler {
-    /// Builds a scheduler over `engine` and starts its dispatcher.
+    /// Builds a scheduler over `engine` and starts its threads.
     pub fn new(engine: Arc<Engine>, cfg: SchedConfig) -> Self {
         let (tx, rx) = mpsc::channel::<MatrixId>();
         let shared = Arc::new(Shared {
@@ -404,7 +423,6 @@ impl Scheduler {
                 vclock: 0.0,
                 in_flight: 0,
                 reserved_bytes: 0,
-                running: HashMap::new(),
                 batch_products: HashMap::new(),
                 dispatch_log: Vec::new(),
                 exec_ewma: Duration::ZERO,
@@ -418,37 +436,38 @@ impl Scheduler {
             cv: Condvar::new(),
             queue_gauge: QueueGauge::new(),
             wait_gauge: WaitGauge::new(),
-            next_job: AtomicU64::new(SERVE_JOB_BASE),
+            job_panics: AtomicU64::new(0),
             next_session: AtomicU64::new(1),
             convert_tx: Mutex::new(Some(tx)),
             cfg,
             engine: Arc::clone(&engine),
         });
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("tsg-serve-dispatch".into())
-                .spawn(move || dispatcher_loop(&shared))
-                .expect("spawning dispatcher")
-        };
-        let converter = {
+        let mut threads: Vec<JoinHandle<()>> = (0..engine.config().workers.max(1))
+            .map(|i| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("tsg-serve-worker-{i}"))
+                    .spawn(move || worker_loop(&shared))
+                    .expect("spawning scheduler worker")
+            })
+            .collect();
+        threads.push({
             let engine = Arc::clone(&engine);
             std::thread::Builder::new()
                 .name("tsg-serve-convert".into())
                 .spawn(move || {
                     // Warm conversions until the sender side is dropped at
                     // shutdown. Errors (unloaded matrix) are fine — the
-                    // dispatch path re-resolves authoritatively.
+                    // job re-resolves authoritatively.
                     while let Ok(id) = rx.recv() {
                         let _ = engine.resolve_tiled(id);
                     }
                 })
                 .expect("spawning converter")
-        };
+        });
         Scheduler {
             shared,
-            dispatcher: Mutex::new(Some(dispatcher)),
-            converter: Mutex::new(Some(converter)),
+            threads: Mutex::new(threads),
         }
     }
 
@@ -481,10 +500,7 @@ impl Scheduler {
         if inner.draining {
             return Err(SubmitError::Draining);
         }
-        let id = self
-            .shared
-            .next_session
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let id = self.shared.next_session.fetch_add(1, Ordering::Relaxed);
         // New sessions start at the current virtual clock, not zero — a
         // late joiner must not replay the virtual time others already
         // consumed.
@@ -595,10 +611,7 @@ impl Scheduler {
         let mut tickets = Vec::with_capacity(specs.len());
         let now = Instant::now();
         for (i, spec) in specs.into_iter().enumerate() {
-            let id = self
-                .shared
-                .next_job
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let id = self.shared.engine.next_job();
             if batch && batch_id.is_none() {
                 batch_id = Some(id);
             }
@@ -649,9 +662,9 @@ impl Scheduler {
         }
     }
 
-    /// Cancels a job. Queued jobs complete as `canceled`; a job already
-    /// handed to the engine is canceled there (honoured only while it is
-    /// still in the engine queue). Returns whether the id was known.
+    /// Cancels a queued job, completing it as `canceled`. A job already
+    /// executing is not interruptible and completes normally. Returns
+    /// whether a queued job was canceled.
     pub fn cancel(&self, job: u64) -> bool {
         let mut inner = self.lock();
         let sids: Vec<u64> = inner.sessions.keys().copied().collect();
@@ -663,18 +676,9 @@ impl Scheduler {
             let j = sess.queue.remove(idx).expect("index in range");
             sess.canceled += 1;
             self.shared.queue_gauge.sub(1);
-            if j.register {
-                if let Some(b) = j.batch {
-                    inner.batch_products.insert((b, j.batch_index), Err(j.id));
-                }
-            }
-            complete(&j.ticket, Err(EngineError::Canceled));
+            fail_queued(&mut inner, j, EngineError::Canceled);
             drop(inner);
             self.shared.cv.notify_all();
-            return true;
-        }
-        if let Some(t) = inner.running.get(&job) {
-            t.cancel();
             return true;
         }
         false
@@ -710,6 +714,7 @@ impl Scheduler {
             batch_jobs: inner.batch_jobs,
             dispatched: inner.dispatch_log.len() as u64,
             in_flight: inner.in_flight,
+            job_panics: self.shared.job_panics.load(Ordering::Relaxed),
             exec_ewma: inner.exec_ewma,
             draining: inner.draining,
         }
@@ -747,7 +752,7 @@ impl Scheduler {
                 .0;
         };
         // Past the deadline: fail whatever is still queued (in-flight jobs
-        // are not interruptible; their waiters finish on their own).
+        // are not interruptible; their workers finish them).
         let sids: Vec<u64> = inner.session_order.clone();
         for sid in sids {
             let Some(sess) = inner.sessions.get_mut(&sid) else {
@@ -757,12 +762,7 @@ impl Scheduler {
             sess.failed += leftovers.len() as u64;
             for j in leftovers {
                 self.shared.queue_gauge.sub(1);
-                if j.register {
-                    if let Some(b) = j.batch {
-                        inner.batch_products.insert((b, j.batch_index), Err(j.id));
-                    }
-                }
-                complete(&j.ticket, Err(EngineError::ShuttingDown));
+                fail_queued(&mut inner, j, EngineError::ShuttingDown);
             }
         }
         inner.stopped = true;
@@ -771,8 +771,8 @@ impl Scheduler {
         drained
     }
 
-    /// Drains (with `deadline`), joins the scheduler threads, and shuts the
-    /// engine down. Idempotent.
+    /// Drains (with `deadline`) and joins the scheduler's threads: the
+    /// workers finish their in-flight jobs first. Idempotent.
     pub fn shutdown(&self, deadline: Duration) -> bool {
         let drained = self.drain(deadline);
         // Closing the channel ends the conversion thread.
@@ -781,31 +781,20 @@ impl Scheduler {
             .convert_tx
             .lock()
             .unwrap_or_else(PoisonError::into_inner) = None;
-        if let Some(h) = self
-            .dispatcher
+        let threads: Vec<JoinHandle<()>> = self
+            .threads
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
+            .drain(..)
+            .collect();
+        for h in threads {
             let _ = h.join();
         }
-        if let Some(h) = self
-            .converter
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        {
-            let _ = h.join();
-        }
-        self.shared.engine.shutdown();
         drained
     }
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.shared
-            .inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.shared.lock()
     }
 }
 
@@ -852,358 +841,330 @@ fn resolve_operand(inner: &Inner, job: &QueuedSJob, op: Operand) -> Resolved {
     }
 }
 
-/// What the dispatcher decided while scanning the queues.
+/// The engine op of a queued job, once every operand it names exists.
+fn resolve_op(inner: &Inner, job: &QueuedSJob) -> Option<OpSpec> {
+    let id = |op| match resolve_operand(inner, job, op) {
+        Resolved::Ready(id) => Some(id),
+        _ => None,
+    };
+    let (a, b) = (id(job.spec.a)?, id(job.spec.b)?);
+    let mask = match job.spec.mask {
+        Some(m) => Some(id(m)?),
+        None => None,
+    };
+    Some(match (job.spec.add, mask) {
+        (Some((alpha, beta)), _) => OpSpec::Add { alpha, a, beta, b },
+        (None, Some(mask)) => OpSpec::MaskedMultiply { a, b, mask },
+        (None, None) => OpSpec::Multiply { a, b },
+    })
+}
+
+/// Completes a job that leaves the queue without running: a batch entry
+/// that later entries reference can then never produce, so they fail with
+/// `dependency_failed`.
+fn fail_queued(inner: &mut Inner, job: QueuedSJob, err: EngineError) {
+    if job.register {
+        if let Some(b) = job.batch {
+            inner
+                .batch_products
+                .insert((b, job.batch_index), Err(job.id));
+        }
+    }
+    complete(&job.ticket, Err(err));
+}
+
+/// What a worker decided while scanning the queues.
 enum Scan {
-    /// Dispatch this session's head, reserving `est_bytes` of the budget
-    /// until it completes; `exclusive` marks a job whose estimate exceeds
-    /// the whole budget (the deferred-admission backstop), which must then
-    /// run alone.
+    /// Run this session's head as `op`, reserving its estimated bytes until
+    /// it completes; `exclusive` marks a job whose estimate exceeds the
+    /// whole budget (the deferred-admission backstop), which must then run
+    /// alone.
     Dispatch {
         sid: u64,
-        est_bytes: usize,
+        op: OpSpec,
+        estimate: JobEstimate,
         exclusive: bool,
     },
     /// Nothing runnable (or the fair head is parked on memory): wait.
     Wait,
 }
 
-fn dispatcher_loop(shared: &Arc<Shared>) {
+/// A dispatched job on its worker.
+struct Running {
+    sid: u64,
+    job: QueuedSJob,
+    op: OpSpec,
+    estimate: JobEstimate,
+    queue_wait: Duration,
+}
+
+/// One scheduler worker: pick a job, run it, complete it, until the
+/// scheduler stops.
+fn worker_loop(shared: &Shared) {
     loop {
-        let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let (sid, est_bytes, exclusive) = loop {
-            if inner.stopped {
-                return;
-            }
-            match scan(shared, &mut inner) {
-                Scan::Dispatch {
-                    sid,
-                    est_bytes,
-                    exclusive,
-                } => break (sid, est_bytes, exclusive),
-                Scan::Wait => {
-                    inner = shared
-                        .cv
-                        .wait(inner)
-                        .unwrap_or_else(PoisonError::into_inner);
+        let run = {
+            let mut inner = shared.lock();
+            loop {
+                if inner.stopped {
+                    return;
+                }
+                match scan(shared, &mut inner) {
+                    Scan::Dispatch {
+                        sid,
+                        op,
+                        estimate,
+                        exclusive,
+                    } => break dispatch(shared, &mut inner, sid, op, estimate, exclusive),
+                    Scan::Wait => {
+                        inner = shared
+                            .cv
+                            .wait(inner)
+                            .unwrap_or_else(PoisonError::into_inner);
+                    }
                 }
             }
         };
-        dispatch(shared, &mut inner, sid, est_bytes, exclusive);
-        drop(inner);
+        // Another worker may find the next head runnable.
         shared.cv.notify_all();
+        let result = run_job(shared, &run);
+        finish(shared, run, result);
     }
 }
 
 /// One pass over the session queues: fail heads that can never run, then
 /// pick the weighted-fair runnable head and check it against free memory.
-fn scan(shared: &Arc<Shared>, inner: &mut Inner) -> Scan {
-    // The engine never sheds as long as in-flight stays within its queue
-    // depth (workers drain the queue faster than it fills from here).
-    let max_inflight = shared.engine.config().queue_depth.max(1);
-    if inner.in_flight >= max_inflight || inner.exclusive_job.is_some() {
+fn scan(shared: &Shared, inner: &mut Inner) -> Scan {
+    let workers = shared.engine.config().workers.max(1);
+    if inner.in_flight >= workers || inner.exclusive_job.is_some() {
         return Scan::Wait;
     }
-    // Terminal heads first: expired deadlines and broken dependencies are
-    // completed inline so they never block the fair pick.
     loop {
-        let mut doomed: Option<(u64, EngineError)> = None;
-        'sessions: for (&sid, sess) in inner.sessions.iter() {
-            let Some(head) = sess.queue.front() else {
+        // Terminal heads first: expired deadlines and broken dependencies
+        // are completed inline so they never block the fair pick.
+        if let Some((sid, err)) = doomed_head(shared, inner) {
+            fail_head(shared, inner, sid, err);
+            continue;
+        }
+        let Some((sid, op)) = fair_pick(inner) else {
+            return Scan::Wait;
+        };
+        // With sampling enabled (the engine default) the estimate is the
+        // band-upper edge of a measured symbolic sample rather than the
+        // constant-compression bound, so most products that actually fit
+        // are admitted directly. Operands that cannot combine (shape
+        // mismatch, unloaded mid-queue) fail here, before any worker runs.
+        let estimate = match shared.engine.estimate_op(&op) {
+            Ok(estimate) => estimate,
+            Err(err) => {
+                fail_head(shared, inner, sid, err);
                 continue;
-            };
-            if head
-                .spec
-                .timeout
-                .is_some_and(|t| head.enqueued.elapsed() > t)
-            {
-                doomed = Some((sid, EngineError::TimedOut));
-                break 'sessions;
             }
-            for op in head.spec.operands() {
-                if let Resolved::Broken(dep) = resolve_operand(inner, head, op) {
-                    doomed = Some((sid, EngineError::DependencyFailed { dep }));
-                    break 'sessions;
+        };
+        let budget = shared.engine.device().mem_budget;
+        // Free memory is the budget minus the larger of (a) the in-flight
+        // reservations — admitted estimates whose jobs may not have
+        // allocated their peak yet — and (b) the bytes actually tracked
+        // right now. With sampled estimates upper-bounding each job's
+        // tracked peak, gating on reservations makes concurrent admission
+        // safe by construction instead of racing the tracker.
+        let committed = inner
+            .reserved_bytes
+            .max(shared.engine.device_tracker().current_bytes());
+        let free = budget.saturating_sub(committed);
+        let est_bytes = estimate.est_bytes;
+        if est_bytes > free && inner.in_flight > 0 {
+            // Only an estimate the whole budget cannot hold is *deferred*
+            // (the run-solo-once-idle backstop the counter reports); a head
+            // merely waiting for reservations to drain is ordinary
+            // memory-ordered queuing.
+            if est_bytes > budget {
+                let head = inner
+                    .sessions
+                    .get_mut(&sid)
+                    .expect("session exists")
+                    .queue
+                    .front_mut()
+                    .expect("head exists");
+                if !head.deferred_marked {
+                    head.deferred_marked = true;
+                    inner.deferred += 1;
+                    shared.engine.recorder().add(Counter::ServeDeferred, 1);
                 }
             }
+            return Scan::Wait;
         }
-        let Some((sid, err)) = doomed else { break };
-        let sess = inner.sessions.get_mut(&sid).expect("session exists");
-        let j = sess.queue.pop_front().expect("head exists");
-        sess.failed += 1;
-        shared.queue_gauge.sub(1);
-        if j.register {
-            if let Some(b) = j.batch {
-                inner.batch_products.insert((b, j.batch_index), Err(j.id));
-            }
-        }
-        complete(&j.ticket, Err(err));
+        // An over-budget estimate only gets here with the device idle
+        // (`in_flight == 0`): it runs solo until it completes.
+        return Scan::Dispatch {
+            sid,
+            op,
+            estimate,
+            exclusive: est_bytes > budget,
+        };
     }
-    // The weighted-fair pick: smallest virtual finish tag among sessions
-    // whose head is runnable (dependencies resolved). Ties break by
-    // session id for determinism.
-    let mut pick: Option<(f64, u64)> = None;
+}
+
+/// The first session head that can never run: its queue-wait deadline
+/// passed, or a batch entry it depends on failed.
+fn doomed_head(shared: &Shared, inner: &Inner) -> Option<(u64, EngineError)> {
     for (&sid, sess) in inner.sessions.iter() {
         let Some(head) = sess.queue.front() else {
             continue;
         };
-        let runnable = head
-            .spec
-            .operands()
-            .all(|op| matches!(resolve_operand(inner, head, op), Resolved::Ready(_)));
-        if !runnable {
-            continue;
+        let timeout = head.spec.timeout.or(shared.cfg.default_timeout);
+        if timeout.is_some_and(|t| head.enqueued.elapsed() > t) {
+            return Some((sid, EngineError::TimedOut));
         }
-        let tag = sess.vtime.max(inner.vclock);
-        let better = match pick {
-            None => true,
-            Some((best, best_sid)) => tag < best || (tag == best && sid < best_sid),
-        };
-        if better {
-            pick = Some((tag, sid));
-        }
-    }
-    let Some((_, sid)) = pick else {
-        return Scan::Wait;
-    };
-    // Memory-ordered admission: the fair head dispatches only into memory
-    // known to be free. While it waits, nothing overtakes it — completions
-    // free memory, the queue drains, and once the device is idle the job
-    // goes solo (`admit_over_budget`), so deferral cannot starve.
-    let head = inner.sessions[&sid].queue.front().expect("head exists");
-    let (Resolved::Ready(a), Resolved::Ready(b)) = (
-        resolve_operand(inner, head, head.spec.a),
-        resolve_operand(inner, head, head.spec.b),
-    ) else {
-        return Scan::Wait;
-    };
-    let mask = match head.spec.mask {
-        Some(op) => match resolve_operand(inner, head, op) {
-            Resolved::Ready(id) => Some(id),
-            _ => return Scan::Wait,
-        },
-        None => None,
-    };
-    // With sampling enabled (the engine default) this estimate is the
-    // band-upper edge of a measured symbolic sample rather than the old
-    // constant-compression bound — most products that actually fit are now
-    // admitted directly, and deferred admission remains the backstop for
-    // the ones whose measured band genuinely exceeds the free budget (or
-    // whose estimate fell back to the constant model).
-    let est_bytes = match shared.engine.estimate_op(&op_spec(a, b, mask)) {
-        Ok(e) => e.est_bytes,
-        // Bad operands (unloaded mid-queue) fail at engine submit with the
-        // right code; let the dispatch path handle it.
-        Err(_) => 0,
-    };
-    let budget = shared.engine.device().mem_budget;
-    // Free memory is the budget minus the larger of (a) the in-flight
-    // reservations — admitted estimates whose jobs may not have allocated
-    // their peak yet — and (b) the bytes actually tracked right now. With
-    // sampled estimates upper-bounding each job's tracked peak, gating on
-    // reservations makes concurrent admission safe by construction instead
-    // of racing the tracker.
-    let committed = inner
-        .reserved_bytes
-        .max(shared.engine.device_tracker().current_bytes());
-    let free = budget.saturating_sub(committed);
-    if est_bytes > free && inner.in_flight > 0 {
-        // Only an estimate the whole budget cannot hold is *deferred* (the
-        // run-solo-once-idle backstop the counter reports); a head merely
-        // waiting for reservations to drain is ordinary memory-ordered
-        // queuing.
-        if est_bytes > budget {
-            let head = inner
-                .sessions
-                .get_mut(&sid)
-                .expect("session exists")
-                .queue
-                .front_mut()
-                .expect("head exists");
-            if !head.deferred_marked {
-                head.deferred_marked = true;
-                inner.deferred += 1;
-                shared.engine.recorder().add(Counter::ServeDeferred, 1);
+        for op in head.spec.operands() {
+            if let Resolved::Broken(dep) = resolve_operand(inner, head, op) {
+                return Some((sid, EngineError::DependencyFailed { dep }));
             }
         }
-        return Scan::Wait;
     }
-    // An over-budget estimate only gets here with the device idle
-    // (`in_flight == 0`): it runs solo until it completes.
-    Scan::Dispatch {
-        sid,
-        est_bytes,
-        exclusive: est_bytes > budget,
-    }
+    None
 }
 
-/// Pops `sid`'s head, advances the fair clock, and hands the job to the
-/// engine; a waiter thread collects the result.
-fn dispatch(shared: &Arc<Shared>, inner: &mut Inner, sid: u64, est_bytes: usize, exclusive: bool) {
+/// The weighted-fair pick: the smallest virtual finish tag among sessions
+/// whose head is runnable (every operand exists), with the head's engine
+/// op. Ties break by session id for determinism.
+fn fair_pick(inner: &Inner) -> Option<(u64, OpSpec)> {
+    let mut pick: Option<(f64, u64, OpSpec)> = None;
+    for (&sid, sess) in inner.sessions.iter() {
+        let Some(op) = sess.queue.front().and_then(|h| resolve_op(inner, h)) else {
+            continue;
+        };
+        let tag = sess.vtime.max(inner.vclock);
+        if pick
+            .as_ref()
+            .is_none_or(|(best, best_sid, _)| tag < *best || (tag == *best && sid < *best_sid))
+        {
+            pick = Some((tag, sid, op));
+        }
+    }
+    pick.map(|(_, sid, op)| (sid, op))
+}
+
+/// Fails `sid`'s head without running it.
+fn fail_head(shared: &Shared, inner: &mut Inner, sid: u64, err: EngineError) {
+    let sess = inner.sessions.get_mut(&sid).expect("session exists");
+    let job = sess.queue.pop_front().expect("head exists");
+    sess.failed += 1;
+    shared.queue_gauge.sub(1);
+    fail_queued(inner, job, err);
+}
+
+/// Pops `sid`'s head, advances the fair clock, and reserves its memory.
+fn dispatch(
+    shared: &Shared,
+    inner: &mut Inner,
+    sid: u64,
+    op: OpSpec,
+    estimate: JobEstimate,
+    exclusive: bool,
+) -> Running {
     let sess = inner.sessions.get_mut(&sid).expect("session exists");
     let job = sess.queue.pop_front().expect("head exists");
     let start = sess.vtime.max(inner.vclock);
     sess.vtime = start + 1.0 / sess.weight;
     inner.vclock = start;
     shared.queue_gauge.sub(1);
-    shared.wait_gauge.record(job.enqueued.elapsed());
-    let (Resolved::Ready(a), Resolved::Ready(b)) = (
-        resolve_operand(inner, &job, job.spec.a),
-        resolve_operand(inner, &job, job.spec.b),
-    ) else {
-        unreachable!("scan only dispatches runnable heads")
-    };
-    let mask = job
-        .spec
-        .mask
-        .map(|op| match resolve_operand(inner, &job, op) {
-            Resolved::Ready(id) => id,
-            _ => unreachable!("scan only dispatches runnable heads"),
-        });
-    let mut spec = JobSpec::of(op_spec(a, b, mask));
-    spec.timeout = job
-        .spec
-        .timeout
-        .map(|t| t.saturating_sub(job.enqueued.elapsed()));
-    // The scheduler already admitted the job against *free* memory (or
-    // decided it must run solo); the engine's whole-budget check would
-    // re-reject est > budget jobs the deferral path exists to serve.
-    spec.admit_over_budget = true;
-    match shared.engine.submit(spec) {
-        Ok(ticket) => {
-            inner.in_flight += 1;
-            inner.reserved_bytes += est_bytes;
-            if exclusive {
-                inner.exclusive_job = Some(job.id);
-            }
-            inner.running.insert(job.id, ticket.clone());
-            inner.dispatch_log.push((sid, job.id));
-            let shared_w = Arc::clone(shared);
-            let register = job.register;
-            let materialize = job.spec.materialize;
-            let batch = job.batch;
-            let batch_index = job.batch_index;
-            let sticket = Arc::clone(&job.ticket);
-            let job_id = job.id;
-            std::thread::Builder::new()
-                .name(format!("tsg-serve-wait-{job_id}"))
-                .spawn(move || {
-                    waiter(
-                        &shared_w,
-                        sid,
-                        job_id,
-                        est_bytes,
-                        batch,
-                        batch_index,
-                        register,
-                        materialize,
-                        &ticket,
-                        &sticket,
-                    );
-                })
-                .expect("spawning waiter");
-            // Prefetching converts operands on the device — not while an
-            // over-budget job needs every byte of it.
-            if shared.cfg.prefetch && !exclusive {
-                prefetch_next(shared, inner);
-            }
-        }
-        Err(e) => {
-            let sess = inner.sessions.get_mut(&sid).expect("session exists");
-            sess.failed += 1;
-            if job.register {
-                if let Some(b) = job.batch {
-                    inner
-                        .batch_products
-                        .insert((b, job.batch_index), Err(job.id));
-                }
-            }
-            complete(&job.ticket, Err(e));
-        }
+    let queue_wait = job.enqueued.elapsed();
+    shared.wait_gauge.record(queue_wait);
+    inner.in_flight += 1;
+    inner.reserved_bytes += estimate.est_bytes;
+    if exclusive {
+        inner.exclusive_job = Some(job.id);
+    }
+    inner.dispatch_log.push((sid, job.id));
+    // Prefetching converts operands on the device — not while an
+    // over-budget job needs every byte of it.
+    if shared.cfg.prefetch && !exclusive {
+        prefetch_next(shared, inner);
+    }
+    Running {
+        sid,
+        job,
+        op,
+        estimate,
+        queue_wait,
     }
 }
 
 /// Warms the next runnable head's operand conversions on the conversion
 /// thread, overlapping job N+1's CSR→tiled conversion with job N's compute.
-fn prefetch_next(shared: &Arc<Shared>, inner: &Inner) {
-    let mut pick: Option<(f64, u64)> = None;
-    for (&sid, sess) in inner.sessions.iter() {
-        let Some(head) = sess.queue.front() else {
-            continue;
-        };
-        let runnable = [head.spec.a, head.spec.b]
-            .into_iter()
-            .all(|op| matches!(resolve_operand(inner, head, op), Resolved::Ready(_)));
-        if !runnable {
-            continue;
-        }
-        let tag = sess.vtime.max(inner.vclock);
-        if pick.is_none_or(|(best, _)| tag < best) {
-            pick = Some((tag, sid));
-        }
-    }
-    let Some((_, sid)) = pick else { return };
-    let head = inner.sessions[&sid].queue.front().expect("head exists");
+fn prefetch_next(shared: &Shared, inner: &Inner) {
+    let Some((_, op)) = fair_pick(inner) else {
+        return;
+    };
     let tx = shared
         .convert_tx
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
-    let Some(tx) = tx.as_ref() else { return };
-    for op in head.spec.operands() {
-        if let Resolved::Ready(id) = resolve_operand(inner, head, op) {
+    if let Some(tx) = tx.as_ref() {
+        for id in op.operands() {
             let _ = tx.send(id);
         }
     }
 }
 
-/// Blocks on the engine ticket, registers kept products, and updates the
-/// scheduler's accounting.
-#[allow(clippy::too_many_arguments)]
-fn waiter(
-    shared: &Arc<Shared>,
-    sid: u64,
-    job_id: u64,
-    est_bytes: usize,
-    batch: Option<u64>,
-    batch_index: usize,
-    register: bool,
-    materialize: bool,
-    ticket: &JobTicket,
-    sticket: &STicket,
-) {
-    let result = ticket.wait();
-    // Product registration happens before the scheduler lock: it takes the
-    // registry lock internally and must not nest inside `inner`.
-    let serve_result: ServeResult = match result {
-        Ok(report) => {
-            let kept = register.then(|| {
-                if materialize {
-                    shared.engine.register_product(Arc::clone(&report.c)).0
-                } else {
-                    shared.engine.register_tiled(Arc::clone(&report.c)).0
-                }
-            });
-            Ok(JobDone { report, kept })
-        }
-        Err(e) => Err(e),
-    };
-    let mut inner = shared.inner.lock().unwrap_or_else(PoisonError::into_inner);
+/// The job boundary: executes the job and registers its product when kept
+/// or referenced. A panic anywhere inside is contained here and completes
+/// the job as `internal`, so the client gets an answer and the worker
+/// lives on.
+fn run_job(shared: &Shared, run: &Running) -> ServeResult {
+    let engine = &shared.engine;
+    catch_unwind(AssertUnwindSafe(|| {
+        let report = engine.execute(run.job.id, &run.op, run.estimate, run.queue_wait)?;
+        let kept = run.job.register.then(|| {
+            let c = Arc::clone(&report.c);
+            if run.job.spec.materialize {
+                engine.register_product(c).0
+            } else {
+                engine.register_tiled(c).0
+            }
+        });
+        Ok(JobDone { report, kept })
+    }))
+    .unwrap_or_else(|payload| {
+        shared.job_panics.fetch_add(1, Ordering::Relaxed);
+        Err(EngineError::Internal(panic_message(&*payload)))
+    })
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(s) => s.to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "non-string panic payload".to_string()),
+    }
+}
+
+/// Releases a finished job's reservation, records its outcome, and
+/// completes its ticket.
+fn finish(shared: &Shared, run: Running, result: ServeResult) {
+    let Running {
+        sid, job, estimate, ..
+    } = run;
+    let mut inner = shared.lock();
     inner.in_flight -= 1;
-    inner.reserved_bytes = inner.reserved_bytes.saturating_sub(est_bytes);
-    if inner.exclusive_job == Some(job_id) {
+    inner.reserved_bytes = inner.reserved_bytes.saturating_sub(estimate.est_bytes);
+    if inner.exclusive_job == Some(job.id) {
         inner.exclusive_job = None;
     }
-    inner.running.remove(&job_id);
-    if register {
-        if let Some(b) = batch {
-            let entry = match &serve_result {
+    if job.register {
+        if let Some(b) = job.batch {
+            let entry = match &result {
                 Ok(done) => Ok(done.kept.expect("registered products carry their id")),
-                Err(_) => Err(job_id),
+                Err(_) => Err(job.id),
             };
-            inner.batch_products.insert((b, batch_index), entry);
+            inner.batch_products.insert((b, job.batch_index), entry);
         }
     }
     if let Some(sess) = inner.sessions.get_mut(&sid) {
-        match &serve_result {
+        match &result {
             Ok(done) => {
                 sess.completed += 1;
                 // EWMA of execution time feeds retry_after hints.
@@ -1219,5 +1180,5 @@ fn waiter(
     }
     drop(inner);
     shared.cv.notify_all();
-    complete(sticket, serve_result);
+    complete(&job.ticket, result);
 }

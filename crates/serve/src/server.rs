@@ -25,9 +25,10 @@ use crate::wire::ServeSession;
 /// Everything the binary's command line configures.
 #[derive(Debug, Clone)]
 pub struct ServeOpts {
-    /// The engine below the scheduler.
+    /// The engine below the scheduler; its `workers` is the scheduler's
+    /// worker count.
     pub engine: EngineConfig,
-    /// The scheduler's session/backpressure knobs.
+    /// The scheduler's session/backpressure/deadline knobs.
     pub sched: SchedConfig,
     /// Listen address; `None` serves stdin/stdout.
     pub tcp: Option<String>,
@@ -49,9 +50,9 @@ impl Default for ServeOpts {
 fn die(msg: &str) -> ! {
     eprintln!("tsg-serve: {msg}");
     eprintln!(
-        "usage: tsg-serve [--device 0|1] [--workers N] [--queue-depth N] \
-         [--cache-mb N] [--budget-mb N] [--timeout-ms N] [--profile] \
-         [--session-depth N] [--drain-ms N] [--tcp ADDR]"
+        "usage: tsg-serve [--device 0|1] [--workers N] [--cache-mb N] \
+         [--budget-mb N] [--timeout-ms N] [--profile] [--session-depth N] \
+         [--drain-ms N] [--tcp ADDR]"
     );
     std::process::exit(2);
 }
@@ -79,11 +80,6 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> ServeOpts {
                     .parse()
                     .unwrap_or_else(|_| die("--workers wants an integer"));
             }
-            "--queue-depth" => {
-                opts.engine.queue_depth = value("--queue-depth")
-                    .parse()
-                    .unwrap_or_else(|_| die("--queue-depth wants an integer"));
-            }
             "--cache-mb" => {
                 let mb: usize = value("--cache-mb")
                     .parse()
@@ -100,7 +96,7 @@ pub fn parse_args(argv: impl IntoIterator<Item = String>) -> ServeOpts {
                 let ms: u64 = value("--timeout-ms")
                     .parse()
                     .unwrap_or_else(|_| die("--timeout-ms wants an integer"));
-                opts.engine.default_timeout = Some(Duration::from_millis(ms));
+                opts.sched.default_timeout = Some(Duration::from_millis(ms));
             }
             "--session-depth" => {
                 opts.sched.session_queue_depth = value("--session-depth")
@@ -209,13 +205,12 @@ pub fn run(opts: ServeOpts) -> ExitCode {
         drain,
     } = opts;
     eprintln!(
-        "tsg-serve: device {} ({} threads, {} MiB budget), {} workers, queue depth {}, \
+        "tsg-serve: device {} ({} threads, {} MiB budget), {} workers, \
          cache {} MiB, session depth {}{}",
         cfg.device.name,
         cfg.device.threads,
         cfg.device.mem_budget >> 20,
         cfg.workers,
-        cfg.queue_depth,
         cfg.cache_bytes >> 20,
         sched.session_queue_depth,
         if cfg.profile { ", profiling" } else { "" },

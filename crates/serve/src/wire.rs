@@ -1,12 +1,13 @@
 //! Protocol session verbs (v2 fairness, v3 op expressions) over the
 //! engine's JSON-lines protocol.
 //!
-//! A [`ServeSession`] wraps the engine's [`Session`] and intercepts the
-//! verbs that belong to the serving layer; everything else (load, convert,
-//! estimate, add, evict, unload, profile, hello…) delegates to the inner
-//! session unchanged, so a v1 client keeps working verbatim.
+//! A [`ServeSession`] wraps the engine's [`Session`] and takes every
+//! job-shaped verb through the scheduler — one queue, one admission path,
+//! one job-id space. The registry verbs (load, convert, estimate, evict,
+//! unload, profile, hello) delegate to the inner session unchanged, so a v1
+//! client keeps working verbatim.
 //!
-//! Intercepted verbs:
+//! Scheduler verbs:
 //!
 //! | request | response |
 //! |---|---|
@@ -14,31 +15,34 @@
 //! | `{"op":"multiply","a":"m…","b":"m…"[,"keep":true]}` | engine report, plus `"c":"m…"` when kept |
 //! | `{"op":"multiply",…,"mask":"m…"}` | masked product `(A·B) ∘ mask` (v3) |
 //! | `{"op":"multiply",…}` (queue full) | `{"ok":false,"error":{"code":"backpressure",…},"retry_after_ms":N,"queue_position":P}` |
-//! | `{"op":"multiply",…,"async":true}` | `{"ok":true,"job":4294967296,"queued":true}` |
+//! | `{"op":"multiply",…,"async":true}` | `{"ok":true,"job":4,"queued":true}` |
+//! | `{"op":"add","a":"m…","b":"m…","alpha":1,"beta":-1}` | report for `alpha·A + beta·B` (v3) |
 //! | `{"op":"multiply_many","jobs":[{"a":"m…","b":"m…","keep":true},{"a":"$0","b":"$0"}]}` | `{"ok":true,"results":[…]}` |
 //! | `{"op":"multiply_many",…,"async":true}` | `{"ok":true,"jobs":[…],"queued":true}` |
 //! | `{"op":"chain","ids":["m…","m…","m…"]}` | final link's report plus `"links"` and `"intermediates"` (v3) |
 //! | `{"op":"power","a":"m…","k":3}` | as `chain` with `k` copies of `a` (v3) |
-//! | `{"op":"wait","job":N}` | serve ids resolve here, engine ids delegate |
-//! | `{"op":"cancel","job":N}` | likewise |
+//! | `{"op":"wait","job":N}` | the report of this session's `async` job `N` |
+//! | `{"op":"cancel","job":N}` | `{"ok":true,"job":N,"canceled":true}` while `N` is queued, `false` once it runs |
 //! | `{"op":"stats"}` | the engine object extended with a `"serve"` member |
 //! | `{"op":"shutdown"}` | `{"ok":true,"bye":true}`; the transport drains |
 //!
-//! `multiply` routed through the scheduler never answers `queue_full`: a
-//! full session queue holds the submission briefly and then answers with
-//! the structured `backpressure` hint above — the client resubmits,
-//! nothing is dropped. Batch entries may name an earlier entry's product
-//! as `"$k"` (zero-based, strictly backwards); referenced products are
-//! registered automatically and the reply carries their `"c"` handles.
+//! Every job reply's `"job"` is the engine-issued id: the key of the job's
+//! row in `profile` and of its span tree. A full session queue holds the
+//! submission briefly and then answers with the structured `backpressure`
+//! hint above — the client resubmits, nothing is dropped. Batch entries
+//! may name an earlier entry's product as `"$k"` (zero-based, strictly
+//! backwards); referenced products are registered automatically and the
+//! reply carries their `"c"` handles. Any job verb accepts `"timeout_ms"`,
+//! a queue-wait deadline (default: the server's `--timeout-ms`): a job
+//! still queued when it passes completes as `timed_out` without running.
 //!
-//! `chain`/`power` are not forwarded to the engine session's own v3 verbs:
-//! the serve layer lowers them onto exactly that `$k` machinery (one
-//! linked multiply per link, intermediates registered from their tiled
-//! forms with `materialize:false`), so chain links interleave with other
-//! sessions' jobs under weighted-fair dispatch instead of holding a worker
-//! for the whole expression. A job-shaped verb may carry
-//! `"materialize":false` to register its kept product tiled-resident
-//! (`multiply` defaults to `true`, `chain`/`power` to `false`).
+//! `chain`/`power` lower onto the `$k` machinery (one linked multiply per
+//! link, intermediates registered from their tiled forms with
+//! `materialize:false`), so chain links interleave with other sessions'
+//! jobs under weighted-fair dispatch instead of holding a worker for the
+//! whole expression. A job-shaped verb may carry `"materialize":false` to
+//! register its kept product tiled-resident (`multiply` defaults to
+//! `true`, `add`/`chain`/`power` to `false`).
 //!
 //! The first scheduler-routed verb on a session that never sent
 //! `open_session` opens one implicitly (weight 1, default depth), so
@@ -57,7 +61,7 @@ use tsg_engine::{Engine, MatrixId};
 
 use crate::scheduler::{
     BackpressureHint, Operand, Scheduler, SchedulerStats, ServeTicket, Submission, SubmitError,
-    SubmitSpec, SERVE_JOB_BASE,
+    SubmitSpec,
 };
 
 /// One client's protocol state: the engine session it delegates to, the
@@ -90,8 +94,9 @@ impl ServeSession {
         self.scheduler.engine()
     }
 
-    /// Handles one request line — serve verbs here, everything else in the
-    /// engine session. Same contract as [`Session::handle_line`].
+    /// Handles one request line — job and session verbs here, registry
+    /// verbs in the engine session. Same contract as
+    /// [`Session::handle_line`].
     pub fn handle_line(&self, line: &str) -> (String, Control) {
         // Oversized frames and unparseable lines take the engine session's
         // hardened path (frame-limit refusal, bad_request) untouched.
@@ -106,6 +111,7 @@ impl ServeSession {
             op,
             "open_session"
                 | "multiply"
+                | "add"
                 | "multiply_many"
                 | "chain"
                 | "power"
@@ -136,16 +142,17 @@ impl ServeSession {
         let (value, control) = match op {
             "open_session" => (self.open_session(&req), Control::Continue),
             "multiply" => (self.multiply(&req), Control::Continue),
+            "add" => (self.add(&req), Control::Continue),
             "multiply_many" => (self.multiply_many(&req), Control::Continue),
             "chain" => (self.chain(&req), Control::Continue),
             "power" => (self.power(&req), Control::Continue),
-            "wait" => match req.get("job").and_then(Value::as_u64) {
-                Some(job) if job >= SERVE_JOB_BASE => (self.wait(job), Control::Continue),
-                _ => return self.inner.handle_line(line),
-            },
-            "cancel" => match req.get("job").and_then(Value::as_u64) {
-                Some(job) if job >= SERVE_JOB_BASE => (self.cancel(job), Control::Continue),
-                _ => return self.inner.handle_line(line),
+            "wait" | "cancel" => match req.get("job").and_then(Value::as_u64) {
+                Some(job) if op == "wait" => (self.wait(job), Control::Continue),
+                Some(job) => (self.cancel(job), Control::Continue),
+                None => {
+                    let msg = format!("{op} needs a numeric \"job\"");
+                    (error_response("bad_request", &msg, &[]), Control::Continue)
+                }
             },
             "stats" => (self.stats(), Control::Continue),
             "shutdown" => (
@@ -189,15 +196,31 @@ impl ServeSession {
     }
 
     fn multiply(&self, req: &Value) -> Value {
-        let spec = match parse_spec(req) {
-            Ok(s) => s,
-            Err(msg) => return error_response("bad_request", &msg, &[]),
-        };
-        if [Some(spec.a), Some(spec.b), spec.mask]
-            .into_iter()
-            .flatten()
-            .any(|op| matches!(op, Operand::Ref(_)))
-        {
+        match parse_spec(req, true) {
+            Ok(spec) => self.submit_one(req, spec),
+            Err(msg) => error_response("bad_request", &msg, &[]),
+        }
+    }
+
+    fn add(&self, req: &Value) -> Value {
+        let scale = |key| req.get(key).and_then(Value::as_f64).unwrap_or(1.0);
+        match parse_spec(req, false) {
+            Ok(spec) => self.submit_one(
+                req,
+                SubmitSpec {
+                    mask: None,
+                    add: Some((scale("alpha"), scale("beta"))),
+                    ..spec
+                },
+            ),
+            Err(msg) => error_response("bad_request", &msg, &[]),
+        }
+    }
+
+    /// Queues one job and answers with its report, or with its id when the
+    /// request is `"async"`.
+    fn submit_one(&self, req: &Value, spec: SubmitSpec) -> Value {
+        if spec.operands().any(|op| matches!(op, Operand::Ref(_))) {
             return error_response("bad_request", "\"$k\" refs need multiply_many", &[]);
         }
         let session = match self.session_id() {
@@ -231,7 +254,7 @@ impl ServeSession {
         }
         let mut specs = Vec::with_capacity(jobs.len());
         for (i, job) in jobs.iter().enumerate() {
-            match parse_spec(job) {
+            match parse_spec(job, true) {
                 Ok(s) => specs.push(s),
                 Err(msg) => {
                     let msg = format!("jobs[{i}]: {msg}");
@@ -346,6 +369,7 @@ impl ServeSession {
                 },
                 b: operands[j + 1],
                 mask: if j == last { mask } else { None },
+                add: None,
                 timeout,
                 keep: j == last && keep,
                 materialize: j == last && materialize,
@@ -424,22 +448,13 @@ impl ServeSession {
         engine_stats
     }
 
-    /// Renders one finished scheduler job exactly like an engine reply
-    /// (same members, plus `"job"` rewritten to the serve-level id and
-    /// `"c"` when the product was kept).
+    /// Waits for one scheduler job and renders it exactly like an engine
+    /// reply, plus `"c"` when the product was kept.
     fn render(&self, ticket: &ServeTicket) -> Value {
         match ticket.wait() {
             Ok(done) => {
                 let collector = self.engine().collector().map(Arc::as_ref);
-                let mut v = report_response(&done.report, collector, done.kept);
-                if let Value::Obj(ref mut members) = v {
-                    for (k, val) in members.iter_mut() {
-                        if k == "job" {
-                            *val = ticket.job.into();
-                        }
-                    }
-                }
-                v
+                report_response(&done.report, collector, done.kept)
             }
             Err(e) => engine_error_response(&e),
         }
@@ -454,9 +469,10 @@ impl ServeSession {
     }
 }
 
-/// Parses one multiply spec: operands (`"m…"` ids or `"$k"` batch refs,
-/// `"mask"` included) and the timeout/keep/materialize options.
-fn parse_spec(req: &Value) -> Result<SubmitSpec, String> {
+/// Parses one job spec: operands (`"m…"` ids or `"$k"` batch refs,
+/// `"mask"` included) and the timeout/keep/materialize options, with the
+/// verb's `materialize` default.
+fn parse_spec(req: &Value, default_materialize: bool) -> Result<SubmitSpec, String> {
     let a = parse_operand(req, "a")?;
     let b = parse_operand(req, "b")?;
     let mask = match req.get("mask") {
@@ -467,12 +483,13 @@ fn parse_spec(req: &Value) -> Result<SubmitSpec, String> {
         a,
         b,
         mask,
+        add: None,
         timeout: parse_timeout(req),
         keep: req.get("keep").and_then(Value::as_bool) == Some(true),
         materialize: req
             .get("materialize")
             .and_then(Value::as_bool)
-            .unwrap_or(true),
+            .unwrap_or(default_materialize),
     })
 }
 
@@ -580,6 +597,7 @@ pub fn serve_stats_json(s: &SchedulerStats) -> Value {
         ("batch_jobs", s.batch_jobs.into()),
         ("dispatched", s.dispatched.into()),
         ("in_flight", s.in_flight.into()),
+        ("job_panics", s.job_panics.into()),
         ("exec_ms_ewma", Value::Num(s.exec_ewma.as_secs_f64() * 1e3)),
         ("draining", s.draining.into()),
     ])

@@ -119,14 +119,7 @@ impl Client {
 
 #[test]
 fn mid_batch_disconnect_leaves_the_server_healthy() {
-    let server = Server::spawn(&[
-        "--tcp",
-        "127.0.0.1:0",
-        "--workers",
-        "1",
-        "--queue-depth",
-        "2",
-    ]);
+    let server = Server::spawn(&["--tcp", "127.0.0.1:0", "--workers", "1"]);
 
     // Client 1 opens a session, fires an async multiply_many batch, and
     // vanishes without reading a single response — then a second rude
@@ -187,8 +180,6 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
         "127.0.0.1:0",
         "--workers",
         "1",
-        "--queue-depth",
-        "2",
         "--session-depth",
         "2",
     ]);
@@ -212,7 +203,6 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
             let (p3, _) = engine.register_product(Arc::clone(&r3.c));
             chains.push(vec![p1.to_string(), p2.to_string(), p3.to_string()]);
         }
-        engine.shutdown();
         chains
     };
 
@@ -299,13 +289,7 @@ fn two_concurrent_clients_match_the_serial_run_bit_for_bit() {
         }
     }
 
-    // Nothing was dropped anywhere: every arrival was admitted (engine) and
-    // every session job completed (scheduler).
-    assert_eq!(stats.get("shed").and_then(Value::as_u64), Some(0));
-    assert_eq!(
-        stats.get("submitted").and_then(Value::as_u64),
-        stats.get("admitted").and_then(Value::as_u64)
-    );
+    // Nothing was dropped anywhere: every session job completed.
     let serve_stats = stats.get("serve").unwrap();
     assert!(
         serve_stats

@@ -7,7 +7,8 @@
 //! otherwise empty queue. Both tests assert the refusal is clean — the
 //! same call succeeds the moment the failpoint disarms. The engine's
 //! `engine.job_start` gate pins the only worker on a job for exactly as
-//! long as a test needs a full queue.
+//! long as a test needs a full queue or an expiring deadline, and
+//! `engine.job_panic` makes a job panic inside `Engine::execute`.
 
 #![cfg(feature = "failpoints")]
 
@@ -19,15 +20,31 @@ use tsg_engine::{Engine, EngineConfig};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::Csr;
 use tsg_runtime::{failpoint, Device};
-use tsg_serve::{SchedConfig, Scheduler, ServeSession, Submission, SubmitError, SubmitSpec};
+use tsg_serve::{
+    SchedConfig, Scheduler, ServeSession, ServeTicket, Submission, SubmitError, SubmitSpec,
+};
 
 fn scheduler() -> Scheduler {
     let engine = Engine::new(EngineConfig {
         workers: 1,
-        queue_depth: 1,
         ..EngineConfig::default()
     });
     Scheduler::new(Arc::new(engine), SchedConfig::default())
+}
+
+fn queued(sched: &Scheduler, sid: u64, spec: SubmitSpec) -> ServeTicket {
+    match sched.submit(sid, vec![spec]).unwrap() {
+        Submission::Queued(mut t) => t.remove(0),
+        Submission::Backpressure(_) => panic!("the queue has room"),
+    }
+}
+
+fn error_code(resp: &str) -> Option<String> {
+    let v = parse(resp).unwrap();
+    v.get("error")
+        .and_then(|e| e.get("code"))
+        .and_then(Value::as_str)
+        .map(str::to_string)
 }
 
 #[test]
@@ -123,7 +140,6 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     let engine = Engine::new(EngineConfig {
         device,
         workers: 1,
-        queue_depth: 1,
         ..EngineConfig::default()
     });
     let sched = Scheduler::new(
@@ -152,7 +168,7 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
     else {
         panic!("empty queue must accept")
     };
-    // Wait until the blocker leaves the session queue for the engine, so
+    // Wait until the blocker leaves the session queue for the worker, so
     // the depth-1 queue is empty again.
     while sched.stats().in_flight == 0 {
         std::thread::sleep(Duration::from_millis(1));
@@ -164,8 +180,7 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
         panic!("the emptied queue must accept one job")
     };
     // The queue (depth 1) is full and the blocker pins the worker: this
-    // submission is held briefly, then answered with a hint — not dropped,
-    // not an engine queue_full.
+    // submission is held briefly, then answered with a hint — not dropped.
     let Submission::Backpressure(hint) = sched
         .submit(sid, vec![SubmitSpec::new(small, small)])
         .unwrap()
@@ -188,5 +203,97 @@ fn full_queue_answers_with_a_hint_and_the_retry_succeeds() {
         panic!("the drained queue must accept the retry")
     };
     third[0].wait().unwrap();
-    assert_eq!(sched.engine().stats().shed, 0, "the engine never sheds");
+}
+
+#[test]
+fn a_panicking_job_answers_internal_and_the_worker_lives_on() {
+    let _x = failpoint::exclusive();
+    let sched = Arc::new(scheduler());
+    let session = ServeSession::new(Arc::clone(&sched));
+    let (id, _) = sched.engine().register(Csr::<f64>::identity(32));
+    let multiply = format!(r#"{{"op":"multiply","a":"{id}","b":"{id}"}}"#);
+
+    // The armed job panics inside `Engine::execute`; its client still gets
+    // an answer, with the stable code.
+    failpoint::arm("engine.job_panic", 0, 1);
+    let (resp, _) = session.handle_line(&multiply);
+    assert_eq!(error_code(&resp).as_deref(), Some("internal"), "{resp}");
+    assert_eq!(failpoint::hits("engine.job_panic"), 1);
+    let stats = sched.stats();
+    assert_eq!(stats.job_panics, 1);
+    assert_eq!(stats.in_flight, 0, "the panicked job released its slot");
+    assert_eq!(stats.sessions[0].failed, 1);
+
+    // The same (only) worker runs the next job to completion.
+    let (resp, _) = session.handle_line(&multiply);
+    let v = parse(&resp).unwrap();
+    assert_eq!(v.get("nnz_c").and_then(Value::as_u64), Some(32), "{resp}");
+    assert_eq!(sched.stats().sessions[0].completed, 1);
+    assert_eq!(sched.engine().device_tracker().current_bytes(), 0);
+}
+
+#[test]
+fn a_job_whose_deadline_passes_in_the_queue_times_out_without_running() {
+    let _x = failpoint::exclusive();
+    let sched = scheduler();
+    let sid = sched.open_session("deadline", 1.0, None).unwrap();
+    let (id, _) = sched.engine().register(Csr::<f64>::identity(64));
+
+    // The blocker holds the only worker at the job-start gate while the
+    // second job's 1 ms deadline passes in the session queue.
+    failpoint::pause("engine.job_start");
+    let blocker = queued(&sched, sid, SubmitSpec::new(id, id));
+    while sched.stats().in_flight == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stale = queued(
+        &sched,
+        sid,
+        SubmitSpec {
+            timeout: Some(Duration::from_millis(1)),
+            ..SubmitSpec::new(id, id)
+        },
+    );
+    std::thread::sleep(Duration::from_millis(20));
+    failpoint::resume("engine.job_start");
+
+    blocker.wait().unwrap();
+    assert_eq!(stale.wait().unwrap_err().code(), "timed_out");
+    // It never ran: one dispatch, one engine execution.
+    assert_eq!(sched.stats().dispatched, 1);
+    assert_eq!(sched.engine().stats().completed, 1);
+    assert_eq!(sched.stats().sessions[0].failed, 1);
+}
+
+#[test]
+fn the_server_timeout_applies_to_jobs_without_their_own() {
+    let _x = failpoint::exclusive();
+    let opts =
+        tsg_serve::server::parse_args(["--workers", "1", "--timeout-ms", "5"].map(String::from));
+    assert_eq!(opts.sched.default_timeout, Some(Duration::from_millis(5)));
+    let sched = Scheduler::new(Arc::new(Engine::new(opts.engine)), opts.sched);
+    let sid = sched.open_session("default-deadline", 1.0, None).unwrap();
+    let (id, _) = sched.engine().register(Csr::<f64>::identity(64));
+
+    failpoint::pause("engine.job_start");
+    // Its own generous deadline overrides the server's.
+    let blocker = queued(
+        &sched,
+        sid,
+        SubmitSpec {
+            timeout: Some(Duration::from_secs(60)),
+            ..SubmitSpec::new(id, id)
+        },
+    );
+    while sched.stats().in_flight == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // No timeout of its own: the server's 5 ms applies.
+    let stale = queued(&sched, sid, SubmitSpec::new(id, id));
+    std::thread::sleep(Duration::from_millis(50));
+    failpoint::resume("engine.job_start");
+
+    blocker.wait().unwrap();
+    assert_eq!(stale.wait().unwrap_err().code(), "timed_out");
+    assert_eq!(sched.engine().stats().completed, 1);
 }

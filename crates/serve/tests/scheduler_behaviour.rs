@@ -9,9 +9,7 @@ use tsg_engine::{Engine, EngineConfig, EngineError};
 use tsg_gen::suite::GenSpec;
 use tsg_matrix::Csr;
 use tsg_runtime::Device;
-use tsg_serve::{
-    Operand, SchedConfig, Scheduler, Submission, SubmitError, SubmitSpec, SERVE_JOB_BASE,
-};
+use tsg_serve::{Operand, SchedConfig, Scheduler, Submission, SubmitError, SubmitSpec};
 
 fn banded(n: usize, bandwidth: usize, per_row: usize) -> Csr<f64> {
     GenSpec::Banded {
@@ -23,15 +21,14 @@ fn banded(n: usize, bandwidth: usize, per_row: usize) -> Csr<f64> {
     .build()
 }
 
-/// A serial-dispatch scheduler: one worker, engine queue depth 1, so the
-/// dispatch log is a deterministic total order.
+/// A serial-dispatch scheduler: one worker, so the dispatch log is a
+/// deterministic total order.
 fn serial_scheduler(budget: usize) -> Scheduler {
     let mut device = Device::rtx3090_sim();
     device.mem_budget = budget;
     let engine = Engine::new(EngineConfig {
         device,
         workers: 1,
-        queue_depth: 1,
         ..EngineConfig::default()
     });
     Scheduler::new(Arc::new(engine), SchedConfig::default())
@@ -44,18 +41,38 @@ fn wait_all(tickets: &[tsg_serve::ServeTicket]) {
 }
 
 #[test]
-fn serve_job_ids_live_in_their_own_id_space() {
-    let sched = serial_scheduler(usize::MAX);
+fn job_ids_come_from_the_engine_and_key_their_profile_rows() {
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        profile: true,
+        ..EngineConfig::default()
+    });
+    let sched = Scheduler::new(Arc::new(engine), SchedConfig::default());
     let sid = sched.open_session("ids", 1.0, None).unwrap();
     let (id, _) = sched.engine().register(Csr::<f64>::identity(64));
-    let Submission::Queued(tickets) = sched.submit(sid, vec![SubmitSpec::new(id, id)]).unwrap()
-    else {
+    // A job run straight on the engine draws from the same counter.
+    let direct = sched
+        .engine()
+        .multiply_now(tsg_engine::JobSpec::new(id, id))
+        .unwrap();
+    let specs = vec![SubmitSpec::new(id, id), SubmitSpec::add(2.0, id, -1.0, id)];
+    let Submission::Queued(tickets) = sched.submit(sid, specs).unwrap() else {
         panic!("empty queue must accept")
     };
-    assert!(tickets[0].job >= SERVE_JOB_BASE);
-    let done = tickets[0].wait().unwrap();
-    assert_eq!(done.report.nnz_c, 64);
-    assert!(done.kept.is_none(), "keep was not requested");
+    let collector = sched.engine().collector().expect("profiling");
+    let mut ids = vec![direct.job];
+    for t in &tickets {
+        let done = t.wait().unwrap();
+        assert_eq!(done.report.nnz_c, 64);
+        assert!(done.kept.is_none(), "keep was not requested");
+        // One id space: the ticket's id is the report's and its profile
+        // row's.
+        assert_eq!(done.report.job, t.job);
+        assert!(!collector.span_tree(t.job).is_empty());
+        ids.push(t.job);
+    }
+    assert_eq!(collector.jobs(), ids);
+    assert_eq!(sched.stats().dispatched, 2, "the add was scheduled too");
 }
 
 #[test]
@@ -149,13 +166,11 @@ fn over_budget_estimate_defers_and_then_completes() {
     let budget = 4 << 20;
     let mut device = Device::rtx3090_sim();
     device.mem_budget = budget;
-    // Engine queue depth 2: the dispatcher is allowed a second in-flight
-    // job, so it actually *evaluates* the big head while the small job
-    // runs — and parks it on memory instead.
+    // Two workers: a second worker is free while the small job runs, so it
+    // actually *evaluates* the big head — and parks it on memory instead.
     let engine = Engine::new(EngineConfig {
         device,
-        workers: 1,
-        queue_depth: 2,
+        workers: 2,
         sample_rate: 0.0,
         ..EngineConfig::default()
     });
@@ -199,7 +214,6 @@ fn over_budget_estimate_defers_and_then_completes() {
     assert!(stats.deferred >= 1, "the big job waited for memory");
     let engine_stats = sched.engine().stats();
     assert_eq!(engine_stats.rejected, 0, "no up-front estimate rejection");
-    assert_eq!(engine_stats.shed, 0);
     assert_eq!(engine_stats.completed, 2);
 }
 

@@ -56,7 +56,7 @@ impl Drop for Serve {
 
 #[test]
 fn load_convert_multiply_stats_over_stdin() {
-    let mut serve = Serve::spawn(&["--workers", "2", "--queue-depth", "8"]);
+    let mut serve = Serve::spawn(&["--workers", "2"]);
 
     let loaded = serve.request_ok(r#"{"op":"load","gen":"fem-00"}"#);
     let id = loaded
@@ -89,9 +89,6 @@ fn load_convert_multiply_stats_over_stdin() {
     assert_eq!(stats.get("completed").and_then(Value::as_u64), Some(1));
     assert_eq!(stats.get("conversions").and_then(Value::as_u64), Some(1));
     assert!(stats.get("cached_bytes").and_then(Value::as_u64).unwrap() > 0);
-    // Arrivals are fully accounted: everything submitted was admitted.
-    assert_eq!(stats.get("submitted").and_then(Value::as_u64), Some(1));
-    assert_eq!(stats.get("admitted").and_then(Value::as_u64), Some(1));
     // v2 responses extend the same object with the serving layer's view.
     let serve_stats = stats.get("serve").expect("serve member");
     let sessions = serve_stats
@@ -248,7 +245,6 @@ fn sessions_batches_and_kept_products_over_stdin() {
         .collect();
     assert_eq!(jobs.len(), 2);
     for job in jobs {
-        assert!(job >= 1 << 32, "serve ids live above the engine's");
         let done = serve.request_ok(&format!(r#"{{"op":"wait","job":{job}}}"#));
         assert_eq!(done.get("job").and_then(Value::as_u64), Some(job));
         assert!(done.get("nnz_c").and_then(Value::as_u64).unwrap() > 0);
@@ -282,7 +278,7 @@ fn sessions_batches_and_kept_products_over_stdin() {
 
 #[test]
 fn profiled_burst_reports_spans_and_counters_over_stdin() {
-    let mut serve = Serve::spawn(&["--profile", "--workers", "2", "--queue-depth", "32"]);
+    let mut serve = Serve::spawn(&["--profile", "--workers", "2"]);
     let loaded = serve.request_ok(r#"{"op":"load","gen":"fem-00"}"#);
     let id = loaded
         .get("id")
@@ -473,10 +469,9 @@ fn budget_flag_still_bounds_memory_under_deferred_admission() {
         Some("out_of_memory")
     );
     let stats = serve.request_ok(r#"{"op":"stats"}"#);
-    // Nothing rejected, nothing shed: the job was admitted, ran, and the
-    // budget stopped it mid-flight.
+    // Nothing rejected: the job was admitted, ran, and the budget stopped
+    // it mid-flight.
     assert_eq!(stats.get("rejected").and_then(Value::as_u64), Some(0));
-    assert_eq!(stats.get("shed").and_then(Value::as_u64), Some(0));
     assert_eq!(stats.get("failed").and_then(Value::as_u64), Some(1));
     assert_eq!(
         stats.get("device_bytes_in_use").and_then(Value::as_u64),

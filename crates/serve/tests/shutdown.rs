@@ -78,7 +78,7 @@ fn collect_stderr(child: &mut Child) -> String {
 
 #[test]
 fn shutdown_verb_drains_pending_jobs_and_reports_final_stats() {
-    let mut child = spawn_server(&["--workers", "1", "--queue-depth", "2"]);
+    let mut child = spawn_server(&["--workers", "1"]);
     let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
     let jobs = queue_burst(&mut child, &mut reader, 4);
 
@@ -105,7 +105,7 @@ fn shutdown_verb_drains_pending_jobs_and_reports_final_stats() {
 
 #[test]
 fn sigint_drains_and_exits_cleanly() {
-    let mut child = spawn_server(&["--workers", "1", "--queue-depth", "2"]);
+    let mut child = spawn_server(&["--workers", "1"]);
     let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
     let jobs = queue_burst(&mut child, &mut reader, 3);
 
